@@ -92,14 +92,21 @@ def _emit(scene: Scene, payload: dict, lines: list[str], args) -> None:
         print(f"json report: {args.json_report}")
 
 
-def _run_check(scene: Scene, args) -> int:
-    seed, samples, density, rho_max, _ = _effective(scene, args)
-    t0 = time.perf_counter()
+@dataclasses.dataclass
+class _Outcome:
+    """What a subcommand adds to the shared runner."""
+
+    lines: list  # text lines after the digest line
+    fields: dict  # payload fields besides command, scene, seed and timings
+    ok: bool  # exit status 0 when true, else 1
+    svg: dict | None = None  # render_scene overlays; None writes no SVG
+
+
+def _cmd_check(scene: Scene, args, seed, samples, density, rho_max, deltas) -> _Outcome:
     report = _conditions.check_extended_condition(
         scene.desc, scene.radius_field, boundary_samples=samples, density=density,
         seed=seed, rho_max=rho_max,
     )
-    elapsed = time.perf_counter() - t0
     counts = report.counts()
     lines = [
         f"check: {report.verdict} ({counts['total']} samples, "
@@ -113,28 +120,19 @@ def _run_check(scene: Scene, args) -> int:
             f"dir {tuple(round(v, 6) for v in cert.direction)} "
             f"realization {cert.realization:.9g} < required {cert.required:.9g}"
         )
-    payload = {
-        "command": "check", "scene": scene.digest(), "seed": seed,
-        "verdict": report.verdict, "report": _jsonable(report),
-        "timings": {"check_s": elapsed},
-    }
-    _emit(scene, payload, lines, args)
-    if args.svg:
-        viols = [rec.certificate.point for rec in report.violations()]
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_scene(scene.desc, violations=viols))
-        print(f"svg: {args.svg}")
-    return 0 if report.verdict in ("holds", "vacuous") else 1
+    return _Outcome(
+        lines, {"verdict": report.verdict, "report": _jsonable(report)},
+        ok=report.verdict in ("holds", "vacuous"),
+        svg={"violations": [rec.certificate.point for rec in report.violations()]},
+    )
 
 
-def _run_cover(scene: Scene, args) -> int:
-    seed, samples, density, rho_max, deltas = _effective(scene, args)
+def _cmd_cover(scene: Scene, args, seed, samples, density, rho_max, deltas) -> _Outcome:
     points = [np.asarray(p, dtype=float) for p in scene.samples.points]
     if args.points:
         points.extend(np.asarray(p, dtype=float) for p in _parse_point_list(args.points))
     if not points:
         points = list(scene.desc.sample_exterior(args.random_points, seed=seed))
-    t0 = time.perf_counter()
     witnesses = []
     failures = 0
     lines = []
@@ -156,46 +154,33 @@ def _run_cover(scene: Scene, args) -> int:
                 f"direction {tuple(round(v, 6) for v in (w.direction or ()))} ok={w.ok}"
             )
         failures += 0 if w.ok else 1
-    elapsed = time.perf_counter() - t0
     lines.append(f"cover: {len(points) - failures}/{len(points)} witnesses verified")
-    payload = {
-        "command": "cover", "scene": scene.digest(), "seed": seed,
-        "verdict": "holds" if failures == 0 else "fails",
-        "witnesses": _jsonable(witnesses), "timings": {"cover_s": elapsed},
-    }
-    _emit(scene, payload, lines, args)
-    if args.svg:
-        balls = [(w.ball.center, w.ball.radius) for w in witnesses if w.ball is not None]
-        dirs = [
+    svg = {
+        "witness_balls": [(w.ball.center, w.ball.radius) for w in witnesses if w.ball is not None],
+        "witness_directions": [
             (np.asarray(w.x), np.asarray(w.direction), 0.25 * scene.desc.diameter)
             for w in witnesses
             if w.direction is not None
-        ]
-        bad = [w.x for w in witnesses if not w.ok]
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(
-                render_scene(scene.desc, witness_balls=balls, witness_directions=dirs,
-                             violations=bad, probe_points=[w.x for w in witnesses])
-            )
-        print(f"svg: {args.svg}")
-    return 0 if failures == 0 else 1
+        ],
+        "violations": [w.x for w in witnesses if not w.ok],
+        "probe_points": [w.x for w in witnesses],
+    }
+    fields = {"verdict": "holds" if failures == 0 else "fails", "witnesses": _jsonable(witnesses)}
+    return _Outcome(lines, fields, ok=failures == 0, svg=svg)
 
 
-def _run_sconvex(scene: Scene, args) -> int:
-    seed, samples, density, rho_max, _ = _effective(scene, args)
+def _cmd_sconvex(scene: Scene, args, seed, samples, density, rho_max, deltas) -> _Outcome:
     ctx = _sconvex.EnvelopeContext(scene.desc, scene.radius_field, density, rho_max)
     membership = {
         "full": lambda p: _sconvex.in_full_envelope(ctx, p),
         "capped": lambda p: _sconvex.in_capped_envelope(ctx, p),
         "space": lambda p: True,
     }[args.envelope]
-    t0 = time.perf_counter()
     report = _sconvex.is_s_convex(
         scene.desc, membership, scene.radius_field,
         boundary_samples=min(samples, 120), density=density, seed=seed,
         rho_max=rho_max, ctx=ctx,
     )
-    elapsed = time.perf_counter() - t0
     lines = [
         f"sconvex[{args.envelope}]: {report.verdict} "
         f"({report.segments_tested} segments, {report.pairs_tested} pairs)"
@@ -205,33 +190,24 @@ def _run_sconvex(scene: Scene, args) -> int:
             f"  crossing at {tuple(round(c, 6) for c in v.point)} via {v.detector}: "
             f"bases {tuple(round(c, 6) for c in v.base_a)} / {tuple(round(c, 6) for c in v.base_b)}"
         )
-    payload = {
-        "command": "sconvex", "scene": scene.digest({"envelope": args.envelope}),
-        "seed": seed, "verdict": report.verdict, "report": _jsonable(report),
-        "timings": {"sconvex_s": elapsed},
+    segs = []
+    for v in report.violations:
+        segs.append((v.base_a, v.dir_a, v.t_a))
+        segs.append((v.base_b, v.dir_b, v.t_b))
+    fields = {
+        # The envelope choice is part of what the scene digest identifies.
+        "scene": scene.digest({"envelope": args.envelope}),
+        "verdict": report.verdict, "report": _jsonable(report),
     }
-    _emit(scene, payload, lines, args)
-    if args.svg:
-        segs = []
-        viols = []
-        for v in report.violations:
-            segs.append((v.base_a, v.dir_a, v.t_a))
-            segs.append((v.base_b, v.dir_b, v.t_b))
-            viols.append(v.point)
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_scene(scene.desc, normal_segments=segs, violations=viols))
-        print(f"svg: {args.svg}")
-    return 0 if report.verdict == "holds" else 1
+    svg = {"normal_segments": segs, "violations": [v.point for v in report.violations]}
+    return _Outcome(lines, fields, ok=report.verdict == "holds", svg=svg)
 
 
-def _run_harness(scene: Scene, args) -> int:
-    seed, samples, density, rho_max, _ = _effective(scene, args)
-    t0 = time.perf_counter()
+def _cmd_harness(scene: Scene, args, seed, samples, density, rho_max, deltas) -> _Outcome:
     report = _sconvex.equivalence_harness(
         scene.desc, scene.radius_field, boundary_samples=samples,
         density=density, seed=seed, rho_max=rho_max,
     )
-    elapsed = time.perf_counter() - t0
     v = report.verdicts
     lines = [
         f"harness: i={v['i']} ii={v['ii']} iii={v['iii']} consistent={report.consistent}",
@@ -244,21 +220,16 @@ def _run_harness(scene: Scene, args) -> int:
             f"  envelope boundary point {tuple(round(c, 6) for c in u.point)} "
             f"has {u.multiplicity} projections"
         )
-    payload = {
-        "command": "harness", "scene": scene.digest(), "seed": seed,
+    fields = {
         "verdicts": _jsonable(v), "consistent": report.consistent,
         "condition": _jsonable(report.condition),
         "uniqueness": _jsonable(report.uniqueness),
-        "timings": {"harness_s": elapsed},
     }
-    _emit(scene, payload, lines, args)
     all_hold = all(val == "holds" for val in (v["i"], v["ii"], v["iii"]))
-    return 0 if all_hold else 1
+    return _Outcome(lines, fields, ok=all_hold)
 
 
-def _run_report(scene: Scene, args) -> int:
-    seed, samples, density, rho_max, deltas = _effective(scene, args)
-    t0 = time.perf_counter()
+def _cmd_report(scene: Scene, args, seed, samples, density, rho_max, deltas) -> _Outcome:
     condition = _conditions.check_extended_condition(
         scene.desc, scene.radius_field, boundary_samples=samples, density=density,
         seed=seed, rho_max=rho_max,
@@ -281,7 +252,6 @@ def _run_report(scene: Scene, args) -> int:
         delta_list=deltas,
         seed=seed,
     )
-    elapsed = time.perf_counter() - t0
     v = harness.verdicts
     lines = [
         f"condition: {condition.verdict}",
@@ -289,23 +259,48 @@ def _run_report(scene: Scene, args) -> int:
         f"union of balls: {cover_rep.verdict} ({cover_rep.checked} points)",
         f"harness: i={v['i']} ii={v['ii']} iii={v['iii']} consistent={harness.consistent}",
     ]
-    payload = {
-        "command": "report", "scene": scene.digest(), "seed": seed,
+    fields = {
         "verdicts": {
             "condition": condition.verdict, "lsc": lsc.verdict,
             "union_of_balls": cover_rep.verdict, **_jsonable(v),
         },
         "consistent": harness.consistent,
-        "timings": {"report_s": elapsed},
     }
-    _emit(scene, payload, lines, args)
     ok = (
         condition.verdict in ("holds", "vacuous")
         and lsc.verdict == "holds"
         and cover_rep.verdict == "holds"
         and all(val == "holds" for val in (v["i"], v["ii"], v["iii"]))
     )
-    return 0 if ok else 1
+    return _Outcome(lines, fields, ok=ok)
+
+
+_SUBCOMMANDS = {
+    "check": _cmd_check,
+    "cover": _cmd_cover,
+    "sconvex": _cmd_sconvex,
+    "harness": _cmd_harness,
+    "report": _cmd_report,
+}
+
+
+def _run(scene: Scene, args) -> int:
+    """Time one subcommand, then emit its report and SVG and map its exit rule."""
+    seed, *rest = _effective(scene, args)
+    t0 = time.perf_counter()
+    outcome = _SUBCOMMANDS[args.command](scene, args, seed, *rest)
+    elapsed = time.perf_counter() - t0
+    payload = {
+        "command": args.command, "scene": scene.digest(), "seed": seed,
+        **outcome.fields,
+        "timings": {f"{args.command}_s": elapsed},
+    }
+    _emit(scene, payload, outcome.lines, args)
+    if args.svg and outcome.svg is not None:
+        with open(args.svg, "w", encoding="utf-8") as handle:
+            handle.write(render_scene(scene.desc, **outcome.svg))
+        print(f"svg: {args.svg}")
+    return 0 if outcome.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,15 +334,8 @@ def main(argv=None) -> int:
     except (SceneError, OSError) as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return 2
-    runner = {
-        "check": _run_check,
-        "cover": _run_cover,
-        "sconvex": _run_sconvex,
-        "harness": _run_harness,
-        "report": _run_report,
-    }[args.command]
     try:
-        return runner(scene, args)
+        return _run(scene, args)
     except (SceneError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import INF, GeometryError, as_tuple, as_vec, ext_min, norm, normalized
+from .geom import INF, ConstructionError, GeometryError, as_tuple, as_vec, ext_min, norm, normalized
 from .proximal import (
     RHO_MIN,
     RadiusField,
@@ -410,12 +410,12 @@ def verify_union_of_balls(
     for x in pts:
         try:
             rho = rho_fn(x)
-        except Exception as exc:  # noqa: BLE001 - diagnostics over crashes
+        except (GeometryError, ConstructionError) as exc:
             violations.append(CoverViolation(as_tuple(x), "radius-error", str(exc)))
             continue
         try:
             witness = witness_fn(x)
-        except Exception as exc:  # noqa: BLE001
+        except (GeometryError, ConstructionError) as exc:
             violations.append(CoverViolation(as_tuple(x), "witness-error", str(exc)))
             continue
         if getattr(witness, "ok", True) is False:

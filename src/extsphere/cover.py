@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import INF, Ball, GeometryError, as_tuple, as_vec, norm, normalized, sphere_line_roots
+from .geom import INF, Ball, ConstructionError, GeometryError, as_tuple, as_vec, norm, normalized, sphere_line_roots
 from .conditions import attaining_projection, cover_radius
 from .proximal import (
     RadiusField,
@@ -40,10 +40,6 @@ from .proximal import (
 from .sets import ClosedSetDesc
 
 EPS_HALVINGS = 60
-
-
-class ConstructionError(RuntimeError):
-    """A witness construction step could not be completed."""
 
 
 class CrossingOutsideError(ConstructionError):
@@ -186,6 +182,7 @@ def _epsilon_loop(desc, radius_field, x, a_x, rho_x, target, density, rho_max, s
     tol = desc.realize_tol
     eps = 0.5 * rho_x
     note = ""
+    ending = f"exhausted after {EPS_HALVINGS} halvings"
     for halving in range(EPS_HALVINGS):
         if halving:
             eps *= 0.5
@@ -195,6 +192,11 @@ def _epsilon_loop(desc, radius_field, x, a_x, rho_x, target, density, rho_max, s
         except CrossingOutsideError as exc:
             note = str(exc)
             continue
+        except ConstructionError as exc:
+            # No interior point within eps (it fell below the membership
+            # tolerance); smaller neighborhoods cannot do better.
+            note, ending = str(exc), f"stopped at halving {halving}"
+            break
         labels = desc.boundary_labels_at(a_eps)
         if not labels:
             labels = desc.boundary_labels_at(a_eps, tol=10.0 * desc.cluster_tol)
@@ -259,7 +261,7 @@ def _epsilon_loop(desc, radius_field, x, a_x, rho_x, target, density, rho_max, s
         note = "constructed ball failed oracle validation"
     return WitnessBall(
         as_tuple(x), "failed", ok=False,
-        note=f"epsilon loop exhausted after {EPS_HALVINGS} halvings: {note}",
+        note=f"epsilon loop {ending}: {note}",
         intermediates={"a_x": as_tuple(a_x), "rho_x": rho_x},
     )
 

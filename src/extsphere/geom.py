@@ -29,6 +29,10 @@ class GeometryError(ValueError):
     """Bad geometric input: wrong dimension, non-unit direction, and so on."""
 
 
+class ConstructionError(RuntimeError):
+    """A witness construction step could not be completed."""
+
+
 def as_vec(coords, dim: int | None = None) -> np.ndarray:
     """Validate and convert a coordinate sequence to a float64 vector."""
     v = np.asarray(coords, dtype=float)
@@ -90,10 +94,6 @@ def ext_min(a: float, b: float) -> float:
     return min(ensure_ext_real(a, "left operand"), ensure_ext_real(b, "right operand"))
 
 
-def is_finite(value: float) -> bool:
-    return math.isfinite(value)
-
-
 @dataclass(frozen=True, eq=False)
 class Ball:
     """A ball with positive finite radius; ``closed`` picks B-bar versus B."""
@@ -117,22 +117,6 @@ class Ball:
             return d <= self.radius + tol
         return d < self.radius - tol
 
-    def surface_points(self, count: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Deterministic-ish sphere samples (uniform angles in 2D, Gaussian in 3D)."""
-        if self.dim == 2:
-            theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-            dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        else:
-            rng = rng or np.random.default_rng(0)
-            raw = rng.normal(size=(count, 3))
-            dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        return self.center + self.radius * dirs
-
-    def sample_interior(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        raw = rng.normal(size=(count, self.dim))
-        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        radii = self.radius * rng.random(count) ** (1.0 / self.dim)
-        return self.center + dirs * radii[:, None]
 
 
 @dataclass(frozen=True, eq=False)

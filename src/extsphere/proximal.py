@@ -344,19 +344,7 @@ def realization_radius(
         raise NotRealizedError(
             f"direction {zeta.tolist()} at {a.tolist()} is not realized at rho={rho_min}"
         )
-    if desc.is_convex():
-        return INF
-    if is_realized_by_sphere(desc, a, zeta, rho_max):
-        return INF
-    lo, hi = rho_min, rho_max
-    tol = _BISECT_REL_TOL * rho_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if is_realized_by_sphere(desc, a, zeta, mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_batch_realizations(desc, a, zeta[None, :], rho_min, rho_max)[0])
 
 
 def capped_realization_radius(
@@ -575,6 +563,7 @@ def sample_unit_normals(
 
 
 def _batch_realizations(desc, a, dirs, rho_min, rho_max) -> np.ndarray:
+    """Realization radius of each direction row, bisected in lockstep."""
     if desc.is_convex():
         return np.full(dirs.shape[0], INF)
     tol = desc.realize_tol

@@ -154,24 +154,23 @@ def in_unique_reach_zone(ctx: EnvelopeContext, x, capped: bool = False) -> bool:
     return ctx._strictly_realized(a, normalized(x - a), d)
 
 
-def in_full_envelope(ctx: EnvelopeContext, x) -> bool:
+def in_envelope(ctx: EnvelopeContext, x, capped: bool = False) -> bool:
+    """Membership in the full envelope (or the capped one, see the module doc)."""
     x = as_vec(x, dim=ctx.desc.dim)
     return (
         ctx.desc.contains(x)
-        or in_unique_reach_zone(ctx, x)
+        or in_unique_reach_zone(ctx, x, capped=capped)
         or near_thin_boundary(ctx, x)
         or near_unrealizable_boundary(ctx, x)
     )
+
+
+def in_full_envelope(ctx: EnvelopeContext, x) -> bool:
+    return in_envelope(ctx, x)
 
 
 def in_capped_envelope(ctx: EnvelopeContext, x) -> bool:
-    x = as_vec(x, dim=ctx.desc.dim)
-    return (
-        ctx.desc.contains(x)
-        or in_unique_reach_zone(ctx, x, capped=True)
-        or near_thin_boundary(ctx, x)
-        or near_unrealizable_boundary(ctx, x)
-    )
+    return in_envelope(ctx, x, capped=True)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,7 @@ class SConvexityReport:
     notes: list = field(default_factory=list)
 
 
-def _segment_cap(desc, radius_field, ctx, a, pn) -> float:
+def _segment_cap(desc, a, pn) -> float:
     reach = pn.realization if math.isfinite(pn.realization) else 4.0 * desc.diameter
     first_hit = first_boundary_return(desc, a, pn.direction)
     if not math.isfinite(first_hit):
@@ -302,7 +301,7 @@ def is_s_convex(
         if len(normals) > 40:
             normals = normals[:: max(1, len(normals) // 40)]
         for pn in normals:
-            cap = _segment_cap(desc, radius_field, ctx, a, pn)
+            cap = _segment_cap(desc, a, pn)
             if cap <= desc.membership_tol:
                 continue
             segments.append((a, pn.direction, cap, label))

@@ -49,11 +49,23 @@ def _as_points(P, dim: int) -> np.ndarray:
 
 
 class Primitive:
-    """Interface shared by all leaves.  Points arrive as (m, n) arrays."""
+    """Interface shared by all leaves.  Points arrive as (m, n) arrays.
+
+    The CSG nodes ``Union`` and ``Intersection`` answer the same queries
+    (membership, interior, distance, labeled projection candidates, ray
+    intervals, regularization, ``leaves``, ``convex``).  Tolerances arrive as
+    arguments and are never stored on a node, because nodes are shared
+    between descriptions; leaves ignore the ones only intersections need
+    (``tol`` for membership, ``stop`` for Dykstra's iteration).
+    """
 
     label: str
     dim: int
     convex: bool = False
+
+    @property
+    def leaves(self) -> list:
+        return [self]
 
     def contains_many(self, P: np.ndarray, tol: float) -> np.ndarray:
         raise NotImplementedError
@@ -61,7 +73,7 @@ class Primitive:
     def interior_many(self, P: np.ndarray, tol: float) -> np.ndarray:
         raise NotImplementedError
 
-    def distance_many(self, P: np.ndarray) -> np.ndarray:
+    def distance_many(self, P: np.ndarray, tol: float = 0.0, stop: float = 0.0) -> np.ndarray:
         raise NotImplementedError
 
     def boundary_distance_many(self, P: np.ndarray) -> np.ndarray:
@@ -73,6 +85,15 @@ class Primitive:
 
     def projection_candidates(self, x: np.ndarray) -> list[np.ndarray]:
         return [self.project_point(x)]
+
+    def projection_exact(self, x: np.ndarray) -> bool:
+        """Whether the closest points returned for x are certified."""
+        return True
+
+    def labeled_candidates(self, x, tol: float, cluster_tol: float, stop: float) -> list[tuple]:
+        """Candidate closest points, each with provenance labels and an exact flag."""
+        exact = self.projection_exact(x)
+        return [(p, (self.label,), exact) for p in self.projection_candidates(x)]
 
     def ray_intervals(self, x: np.ndarray, d: np.ndarray, snap: float) -> IntervalSet:
         """Parameters t >= 0 with x + t d inside the leaf."""
@@ -94,8 +115,8 @@ class Primitive:
         """A point at distance <= step from a, analytically inside the leaf."""
         return None
 
-    def regularized(self) -> "Primitive | None":
-        """Closure of the leaf interior, or None when that is empty."""
+    def regularized(self, box=None, tol: float = 0.0) -> "Primitive | None":
+        """Closure of the node interior, or None when that is empty."""
         return None
 
     def finite_extent(self):
@@ -145,7 +166,7 @@ class HalfSpace(Primitive):
     def interior_many(self, P, tol):
         return self._gap(P) < -tol
 
-    def distance_many(self, P):
+    def distance_many(self, P, tol=0.0, stop=0.0):
         return np.maximum(0.0, self._gap(P))
 
     def boundary_distance_many(self, P):
@@ -203,7 +224,7 @@ class HalfSpace(Primitive):
     def interior_offset(self, a, step):
         return a - 0.5 * step * self.normal
 
-    def regularized(self):
+    def regularized(self, box=None, tol=0.0):
         return self
 
     def finite_extent(self):
@@ -233,7 +254,7 @@ class ClosedBall(Primitive):
     def interior_many(self, P, tol):
         return self._r(P) < self.radius - tol
 
-    def distance_many(self, P):
+    def distance_many(self, P, tol=0.0, stop=0.0):
         return np.maximum(0.0, self._r(P) - self.radius)
 
     def boundary_distance_many(self, P):
@@ -278,7 +299,7 @@ class ClosedBall(Primitive):
             return None
         return a + min(0.5 * step, 0.5 * self.radius) * (w / r)
 
-    def regularized(self):
+    def regularized(self, box=None, tol=0.0):
         return self
 
     def finite_extent(self):
@@ -310,7 +331,7 @@ class BallComplement(Primitive):
     def interior_many(self, P, tol):
         return self._r(P) > self.radius + tol
 
-    def distance_many(self, P):
+    def distance_many(self, P, tol=0.0, stop=0.0):
         return np.maximum(0.0, self.radius - self._r(P))
 
     def boundary_distance_many(self, P):
@@ -328,8 +349,9 @@ class BallComplement(Primitive):
             r = 1.0
         return self.center + (self.radius / r) * w
 
-    def projection_candidates(self, x):
-        return [self.project_point(x)]
+    def projection_exact(self, x):
+        # At the centre every sphere point is closest; the fixed pick is not certified.
+        return not norm(x - self.center) < 1e-12
 
     def ray_intervals(self, x, d, snap):
         w = x - self.center
@@ -365,7 +387,7 @@ class BallComplement(Primitive):
             return None
         return a + 0.5 * step * (w / r)
 
-    def regularized(self):
+    def regularized(self, box=None, tol=0.0):
         return self
 
     def finite_extent(self):
@@ -393,6 +415,10 @@ class Slab(Primitive):
         if not self.lo <= self.hi:
             raise SetError("slab needs lo <= hi")
         self.dim = self.normal.shape[0]
+        self._faces = (
+            HalfSpace(self.normal, self.hi, label=self.label),
+            HalfSpace(-self.normal, -self.lo, label=self.label),
+        )
 
     def _g(self, P):
         return P @ self.normal
@@ -405,7 +431,7 @@ class Slab(Primitive):
         g = self._g(P)
         return (g > self.lo + tol) & (g < self.hi - tol)
 
-    def distance_many(self, P):
+    def distance_many(self, P, tol=0.0, stop=0.0):
         g = self._g(P)
         return np.maximum(0.0, np.maximum(g - self.hi, self.lo - g))
 
@@ -422,13 +448,11 @@ class Slab(Primitive):
         return x.copy()
 
     def ray_intervals(self, x, d, snap):
-        upper = HalfSpace(self.normal, self.hi, label=self.label)
-        lower = HalfSpace(-self.normal, -self.lo, label=self.label)
+        upper, lower = self._faces
         return upper.ray_intervals(x, d, snap).intersect(lower.ray_intervals(x, d, snap))
 
     def boundary_points(self, count, rng, box):
-        top = HalfSpace(self.normal, self.hi, label=self.label)
-        bot = HalfSpace(-self.normal, -self.lo, label=self.label)
+        top, bot = self._faces
         half = max(1, count // 2)
         pts = [top.boundary_points(half, rng, box), bot.boundary_points(count - half, rng, box)]
         return np.concatenate(pts, axis=0)
@@ -453,7 +477,7 @@ class Slab(Primitive):
         sign = 1.0 if mid > g else -1.0
         return a + sign * min(0.5 * step, 0.25 * (self.hi - self.lo)) * self.normal
 
-    def regularized(self):
+    def regularized(self, box=None, tol=0.0):
         return self if self.hi > self.lo else None
 
     def finite_extent(self):
@@ -500,7 +524,7 @@ class AffineSubspace(Primitive):
     def interior_many(self, P, tol):
         return np.zeros(P.shape[0], dtype=bool)
 
-    def distance_many(self, P):
+    def distance_many(self, P, tol=0.0, stop=0.0):
         return np.linalg.norm(self._residual(P), axis=1)
 
     def boundary_distance_many(self, P):
@@ -560,9 +584,6 @@ class AffineSubspace(Primitive):
                     return [v, -v]
         return []
 
-    def regularized(self):
-        return None
-
     def finite_extent(self):
         if self.subspace_dim == 0:
             return (self.point.copy(), self.point.copy())
@@ -593,7 +614,7 @@ class FinitePointSet(Primitive):
     def interior_many(self, P, tol):
         return np.zeros(P.shape[0], dtype=bool)
 
-    def distance_many(self, P):
+    def distance_many(self, P, tol=0.0, stop=0.0):
         return self._dists(P).min(axis=1)
 
     def boundary_distance_many(self, P):
@@ -620,9 +641,6 @@ class FinitePointSet(Primitive):
         reps = int(math.ceil(count / self.points.shape[0]))
         return np.tile(self.points, (reps, 1))[:count]
 
-    def regularized(self):
-        return None
-
     def finite_extent(self):
         return (self.points.min(axis=0), self.points.max(axis=0))
 
@@ -634,29 +652,138 @@ class FinitePointSet(Primitive):
 
 @dataclass(eq=False)
 class Union:
+    """Union of nodes; answers the same queries as a leaf."""
+
     children: list
 
     def __post_init__(self):
         if not self.children:
             raise SetError("union needs at least one child")
 
+    @property
+    def leaves(self) -> list:
+        return [leaf for child in self.children for leaf in child.leaves]
+
+    @property
+    def convex(self) -> bool:
+        return len(self.children) == 1 and self.children[0].convex
+
+    def contains_many(self, P, tol):
+        out = np.zeros(P.shape[0], dtype=bool)
+        for child in self.children:
+            out |= child.contains_many(P, tol)
+        return out
+
+    def interior_many(self, P, tol):
+        # Union interiors are the union of child interiors; exact whenever
+        # distinct components do not touch (enforced by scene validation).
+        out = np.zeros(P.shape[0], dtype=bool)
+        for child in self.children:
+            out |= child.interior_many(P, tol)
+        return out
+
+    def distance_many(self, P, tol, stop):
+        vals = [child.distance_many(P, tol, stop) for child in self.children]
+        return np.min(np.stack(vals, axis=0), axis=0)
+
+    def labeled_candidates(self, x, tol, cluster_tol, stop):
+        out = []
+        for child in self.children:
+            out.extend(child.labeled_candidates(x, tol, cluster_tol, stop))
+        return out
+
+    def ray_intervals(self, x, d, snap):
+        out = IntervalSet.empty()
+        for child in self.children:
+            out = out.union(child.ray_intervals(x, d, snap), gap_tol=snap)
+        return out
+
+    def regularized(self, box, tol):
+        kept = [child.regularized(box, tol) for child in self.children]
+        kept = [k for k in kept if k is not None]
+        if not kept:
+            return None
+        return kept[0] if len(kept) == 1 else Union(kept)
+
 
 @dataclass(eq=False)
 class Intersection:
+    """Intersection of convex leaves; answers the same queries as a leaf."""
+
     children: list
 
     def __post_init__(self):
         if len(self.children) < 2:
             raise SetError("intersection needs at least two children")
 
+    @property
+    def leaves(self) -> list:
+        return [leaf for child in self.children for leaf in child.leaves]
 
-def _leaves_of(node):
-    if isinstance(node, (Union, Intersection)):
-        out = []
-        for child in node.children:
-            out.extend(_leaves_of(child))
+    @property
+    def convex(self) -> bool:
+        return all(child.convex for child in self.children)
+
+    def contains_many(self, P, tol):
+        out = np.ones(P.shape[0], dtype=bool)
+        for child in self.children:
+            out &= child.contains_many(P, tol)
         return out
-    return [node]
+
+    def interior_many(self, P, tol):
+        out = np.ones(P.shape[0], dtype=bool)
+        for child in self.children:
+            out &= child.interior_many(P, tol)
+        return out
+
+    def _dykstra(self, x, tol, stop):
+        """Dykstra's alternating projections onto convex leaves.
+
+        Returns (point, distance, converged).  Seeded at x itself; for convex
+        children the iterates converge to the true closest point.
+        """
+        if bool(self.contains_many(x[None, :], tol)[0]):
+            return x.copy(), 0.0, True
+        p = x.copy()
+        corrections = [np.zeros(x.shape[0]) for _ in self.children]
+        converged = False
+        for _ in range(20000):
+            prev = p.copy()
+            for i, child in enumerate(self.children):
+                z = child.project_point(p + corrections[i])
+                corrections[i] = p + corrections[i] - z
+                p = z
+            if norm(p - prev) <= stop:
+                converged = True
+                break
+        return p, norm(p - x), converged
+
+    def distance_many(self, P, tol, stop):
+        return np.asarray([self._dykstra(x, tol, stop)[1] for x in P])
+
+    def labeled_candidates(self, x, tol, cluster_tol, stop):
+        p, _, converged = self._dykstra(x, tol, stop)
+        labels = boundary_labels_of_leaves(self.children, p, cluster_tol)
+        label = labels if labels else tuple(child.label for child in self.children)
+        return [(p, label, converged)]
+
+    def ray_intervals(self, x, d, snap):
+        out = IntervalSet.whole(0.0)
+        for child in self.children:
+            out = out.intersect(child.ray_intervals(x, d, snap))
+        return out
+
+    def regularized(self, box, tol):
+        # Convex leaves: a nonempty interior makes the intersection regular
+        # closed.  The interior is probed on a coarse grid plus seeded draws.
+        lo, hi = box
+        dim = lo.shape[0]
+        rng = np.random.default_rng(12345)
+        coarse = [np.linspace(lo[k], hi[k], 9) for k in range(dim)]
+        mesh = np.meshgrid(*coarse, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = np.concatenate([pts, rng.uniform(lo, hi, size=(512, dim))], axis=0)
+        return self if bool(np.any(self.interior_many(pts, tol))) else None
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +915,7 @@ class ClosedSetDesc:
     def __init__(self, root, box=None, name: str = "set"):
         self.root = root
         self.name = name
-        self.leaves = _leaves_of(root)
+        self.leaves = root.leaves
         dims = {leaf.dim for leaf in self.leaves}
         if len(dims) != 1:
             raise SetError(f"mixed leaf dimensions {sorted(dims)}")
@@ -806,6 +933,8 @@ class ClosedSetDesc:
         # Marginal band for emptiness decisions (reported, never decisive).
         self.ball_tol = 1e-7 * self.diameter
         self.cluster_tol = 1e-6 * self.diameter
+        # Dykstra stops once a sweep moves the iterate by at most this.
+        self.dykstra_tol = max(1e-13, 1e-12 * self.diameter)
         self._oracle: GridOracle | None = None
         self._regularized = "unset"
 
@@ -856,114 +985,37 @@ class ClosedSetDesc:
             self._oracle = GridOracle(self)
         return self._oracle
 
-    def label_of(self, leaf) -> str:
-        return leaf.label
-
     # -- membership ----------------------------------------------------------
 
-    def _contains_node(self, node, P, tol):
-        if isinstance(node, Union):
-            out = np.zeros(P.shape[0], dtype=bool)
-            for child in node.children:
-                out |= self._contains_node(child, P, tol)
-            return out
-        if isinstance(node, Intersection):
-            out = np.ones(P.shape[0], dtype=bool)
-            for child in node.children:
-                out &= self._contains_node(child, P, tol)
-            return out
-        return node.contains_many(P, tol)
-
     def contains_many(self, P) -> np.ndarray:
-        return self._contains_node(self.root, _as_points(P, self.dim), self.membership_tol)
+        return self.root.contains_many(_as_points(P, self.dim), self.membership_tol)
 
     def contains(self, x) -> bool:
         return bool(self.contains_many(np.asarray(x, dtype=float)[None, :])[0])
 
-    def _interior_node(self, node, P, tol):
-        # Union interiors are the union of child interiors; exact whenever
-        # distinct components do not touch (enforced by scene validation).
-        if isinstance(node, Union):
-            out = np.zeros(P.shape[0], dtype=bool)
-            for child in node.children:
-                out |= self._interior_node(child, P, tol)
-            return out
-        if isinstance(node, Intersection):
-            out = np.ones(P.shape[0], dtype=bool)
-            for child in node.children:
-                out &= self._interior_node(child, P, tol)
-            return out
-        return node.interior_many(P, tol)
-
     def interior_many(self, P) -> np.ndarray:
-        return self._interior_node(self.root, _as_points(P, self.dim), self.membership_tol)
+        return self.root.interior_many(_as_points(P, self.dim), self.membership_tol)
 
     def interior_contains(self, x) -> bool:
         return bool(self.interior_many(np.asarray(x, dtype=float)[None, :])[0])
 
     # -- distance and projection ---------------------------------------------
 
-    def _distance_node(self, node, P):
-        if isinstance(node, Union):
-            vals = [self._distance_node(child, P) for child in node.children]
-            return np.min(np.stack(vals, axis=0), axis=0)
-        if isinstance(node, Intersection):
-            return np.asarray([self._intersection_project(node, x)[1] for x in P])
-        return node.distance_many(P)
-
     def distance_many(self, P) -> np.ndarray:
-        return self._distance_node(self.root, _as_points(P, self.dim))
+        P = _as_points(P, self.dim)
+        return self.root.distance_many(P, self.membership_tol, self.dykstra_tol)
 
     def distance(self, x) -> float:
         return float(self.distance_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def _intersection_project(self, node, x):
-        """Dykstra's alternating projections onto convex leaves.
-
-        Returns (point, distance, converged).  Seeded at x itself; for convex
-        children the iterates converge to the true closest point.
-        """
-        tol = max(1e-13, 1e-12 * self.diameter)
-        if bool(self._contains_node(node, x[None, :], self.membership_tol)[0]):
-            return x.copy(), 0.0, True
-        p = x.copy()
-        corrections = [np.zeros(self.dim) for _ in node.children]
-        converged = False
-        for _ in range(20000):
-            prev = p.copy()
-            for i, child in enumerate(node.children):
-                z = child.project_point(p + corrections[i])
-                corrections[i] = p + corrections[i] - z
-                p = z
-            if norm(p - prev) <= tol:
-                converged = True
-                break
-        return p, norm(p - x), converged
-
-    def _candidates_node(self, node, x):
-        """Candidate closest points with provenance labels and an exact flag."""
-        if isinstance(node, Union):
-            out = []
-            for child in node.children:
-                out.extend(self._candidates_node(child, x))
-            return out
-        if isinstance(node, Intersection):
-            p, _, converged = self._intersection_project(node, x)
-            labels = boundary_labels_of_leaves(node.children, p, self.cluster_tol)
-            label = labels if labels else tuple(child.label for child in node.children)
-            return [(p, label, converged)]
-        cands = node.projection_candidates(x)
-        exact = not (isinstance(node, BallComplement) and norm(x - node.center) < 1e-12)
-        return [(p, (node.label,), exact) for p in cands]
 
     def project(self, x) -> ProjectionResult:
         x = as_vec(x, dim=self.dim)
         if self.contains(x):
             labels = self.boundary_labels_at(x)
             return ProjectionResult([x.copy()], [labels], 0.0, "exact")
-        raw = self._candidates_node(self.root, x)
-        dist = min(norm(x - p) for p, _, _ in raw)
         tol = self.cluster_tol
+        raw = self.root.labeled_candidates(x, self.membership_tol, tol, self.dykstra_tol)
+        dist = min(norm(x - p) for p, _, _ in raw)
         near = [(p, lab, ex) for p, lab, ex in raw if norm(x - p) <= dist + tol]
         clusters: list[list] = []
         for p, lab, ex in sorted(near, key=lambda t: tuple(t[0])):
@@ -1000,36 +1052,10 @@ class ClosedSetDesc:
         return self._regularized
 
     def _build_regularized(self):
-        reg_root = self._regularize_node(self.root)
+        reg_root = self.root.regularized(self.box, self.membership_tol)
         if reg_root is None:
             return None
         return ClosedSetDesc(reg_root, box=self.box, name=f"cl-int-{self.name}")
-
-    def _regularize_node(self, node):
-        if isinstance(node, Union):
-            kept = [self._regularize_node(child) for child in node.children]
-            kept = [k for k in kept if k is not None]
-            if not kept:
-                return None
-            return kept[0] if len(kept) == 1 else Union(kept)
-        if isinstance(node, Intersection):
-            # Convex leaves: nonempty interior makes the intersection regular closed.
-            probe = self._interior_probe(node)
-            return node if probe is not None else None
-        return node.regularized()
-
-    def _interior_probe(self, node):
-        lo, hi = self.box
-        rng = np.random.default_rng(12345)
-        coarse = [np.linspace(lo[k], hi[k], 9) for k in range(self.dim)]
-        mesh = np.meshgrid(*coarse, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        pts = np.concatenate([pts, rng.uniform(lo, hi, size=(512, self.dim))], axis=0)
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for child in node.children:
-            ok &= child.interior_many(pts, self.membership_tol)
-        idx = np.nonzero(ok)[0]
-        return pts[idx[0]] if idx.size else None
 
     def in_boundary_of_interior(
         self,
@@ -1067,25 +1093,12 @@ class ClosedSetDesc:
 
     # -- ray intervals ---------------------------------------------------------
 
-    def _ray_node(self, node, x, d, snap):
-        if isinstance(node, Union):
-            out = IntervalSet.empty()
-            for child in node.children:
-                out = out.union(child_intervals(self, child, x, d, snap), gap_tol=snap)
-            return out
-        if isinstance(node, Intersection):
-            out = IntervalSet.whole(0.0)
-            for child in node.children:
-                out = out.intersect(child_intervals(self, child, x, d, snap))
-            return out
-        return node.ray_intervals(x, d, snap)
-
     def ray_membership_intervals(self, x, direction) -> IntervalSet:
         """Parameters t >= 0 with x + t*direction inside the set."""
         x = as_vec(x, dim=self.dim)
         d = normalized(direction)
         snap = max(1e-12, self.membership_tol)
-        return self._ray_node(self.root, x, d, snap)
+        return self.root.ray_intervals(x, d, snap)
 
     # -- boundary sampling ------------------------------------------------------
 
@@ -1136,14 +1149,7 @@ class ClosedSetDesc:
     # -- misc ------------------------------------------------------------------
 
     def is_convex(self) -> bool:
-        if isinstance(self.root, Primitive):
-            return self.root.convex
-        if isinstance(self.root, Intersection):
-            return True
-        if isinstance(self.root, Union) and len(self.root.children) == 1:
-            child = self.root.children[0]
-            return isinstance(child, Primitive) and child.convex
-        return False
+        return self.root.convex
 
     def validate(self, check_nonempty: bool = True, check_touching: bool = True, seed: int = 0):
         """Scene-load validation: nonemptiness and no touching labeled components."""
@@ -1157,31 +1163,21 @@ class ClosedSetDesc:
         rng = np.random.default_rng(seed)
         tol = 10.0 * self.cluster_tol
         kids = self.root.children
-        samples = []
-        for child in kids:
-            sub = ClosedSetDesc(child, box=self.box, name="component")
-            samples.append(sub.sample_boundary(64, seed=int(rng.integers(2**31))))
+        subs = [ClosedSetDesc(child, box=self.box, name="component") for child in kids]
+        samples = [sub.sample_boundary(64, seed=int(rng.integers(2**31))) for sub in subs]
         for i in range(len(kids)):
-            sub_i = ClosedSetDesc(kids[i], box=self.box, name="ci")
-            for j in range(len(kids)):
+            for j, sub_j in enumerate(subs):
                 if i == j:
                     continue
-                sub_j = ClosedSetDesc(kids[j], box=self.box, name="cj")
                 for p, _ in samples[i]:
                     P = p[None, :]
                     d_j = float(sub_j.distance_many(P)[0])
                     if d_j <= tol and not bool(sub_j.interior_many(P)[0]):
                         raise SetError(
                             "touching labeled components detected near "
-                            f"{p.tolist()} (labels {_leaves_of(kids[i])[0].label!r}/"
-                            f"{_leaves_of(kids[j])[0].label!r}); such scenes are rejected"
+                            f"{p.tolist()} (labels {kids[i].leaves[0].label!r}/"
+                            f"{kids[j].leaves[0].label!r}); such scenes are rejected"
                         )
-
-
-def child_intervals(desc: ClosedSetDesc, node, x, d, snap) -> IntervalSet:
-    if isinstance(node, (Union, Intersection)):
-        return desc._ray_node(node, x, d, snap)
-    return node.ray_intervals(x, d, snap)
 
 
 def _sphere_local_points(center, radius, a, scale) -> np.ndarray | None:
@@ -1213,32 +1209,3 @@ def boundary_labels_of_leaves(leaves, p, tol) -> tuple[str, ...]:
         if bool(leaf.contains_many(P, tol)[0]) and float(leaf.boundary_distance_many(P)[0]) <= tol:
             out.append(leaf.label)
     return tuple(sorted(out))
-
-
-# ---------------------------------------------------------------------------
-# Module-level convenience wrappers (the public query API)
-# ---------------------------------------------------------------------------
-
-
-def contains(desc: ClosedSetDesc, x) -> bool:
-    return desc.contains(x)
-
-
-def interior_contains(desc: ClosedSetDesc, x) -> bool:
-    return desc.interior_contains(x)
-
-
-def distance(desc: ClosedSetDesc, x) -> float:
-    return desc.distance(x)
-
-
-def project(desc: ClosedSetDesc, x) -> ProjectionResult:
-    return desc.project(x)
-
-
-def in_boundary_of_interior(desc: ClosedSetDesc, a, **kwargs) -> bool:
-    return desc.in_boundary_of_interior(a, **kwargs)
-
-
-def sample_boundary(desc: ClosedSetDesc, count: int, seed: int = 0):
-    return desc.sample_boundary(count, seed)

@@ -10,6 +10,7 @@ from extsphere.sets import (
     ClosedSetDesc,
     FinitePointSet,
     HalfSpace,
+    Intersection,
     Union,
 )
 
@@ -70,6 +71,21 @@ def make_pointset() -> SceneFix:
     return SceneFix(desc, RadiusField.from_sources({"origin": "inf"}))
 
 
+def make_polydisk() -> SceneFix:
+    """A convex pentagon (a square cut by x + y <= 1.5) united with a disk."""
+    facets = [((1, 0), 1.0), ((0, 1), 1.0), ((-1, 0), 1.0), ((0, -1), 1.0), ((1, 1), 1.5)]
+    poly = Intersection(
+        [HalfSpace(n, b, label=f"poly.{k}") for k, (n, b) in enumerate(facets)]
+    )
+    desc = ClosedSetDesc(
+        Union([poly, ClosedBall((3.5, 0), 1.0, label="disk")]),
+        box=((-4, -4), (6, 4)),
+        name="polydisk",
+    )
+    sources = {leaf.label: 0.4 for leaf in desc.leaves}
+    return SceneFix(desc, RadiusField.from_sources(sources))
+
+
 @pytest.fixture(scope="session")
 def strip() -> SceneFix:
     return make_strip()
@@ -98,3 +114,8 @@ def halfplane() -> SceneFix:
 @pytest.fixture(scope="session")
 def pointset() -> SceneFix:
     return make_pointset()
+
+
+@pytest.fixture(scope="session")
+def polydisk() -> SceneFix:
+    return make_polydisk()

@@ -232,6 +232,26 @@ class TestVerifyUnionOfBalls:
         )
         assert report.verdict == "holds"
 
+    def test_radius_error_is_reported(self, strip):
+        def bad_radius(x):
+            raise GeometryError("no radius rule here")
+
+        report = verify_union_of_balls(
+            strip.desc, rho_fn=bad_radius, witness_fn=self._witness_fn(strip), samples=3, seed=5,
+        )
+        assert report.verdict == "fails"
+        assert [v.kind for v in report.violations] == ["radius-error"] * 3
+
+    def test_programming_error_propagates(self, strip):
+        def broken_radius(x):
+            raise TypeError("broken rho_fn")
+
+        with pytest.raises(TypeError):
+            verify_union_of_balls(
+                strip.desc, rho_fn=broken_radius, witness_fn=self._witness_fn(strip),
+                samples=3, seed=5,
+            )
+
     def test_failing_witness_is_reported(self, strip):
         class FakeWitness:
             ok = True

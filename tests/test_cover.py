@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from extsphere.cli import main
 from extsphere.cover import (
     ConstructionError,
     boundary_crossing,
@@ -11,6 +12,7 @@ from extsphere.cover import (
     find_interior_point_near,
 )
 from extsphere.geom import GeometryError
+from extsphere.scene import parse_scene
 
 from conftest import make_ball, make_ballcomplement, make_strip
 
@@ -113,7 +115,47 @@ class TestBoundaryCrossing:
             boundary_crossing(strip.desc, (0, 1.75), (0, 2.0), (0, 2), 0.1)
 
 
+# A pentagon whose radius 5 violates the condition, with a line beside it.
+# Near the first probe's projection the epsilon loop shrinks eps below the
+# membership tolerance, where no interior point can be found.
+PENTAGON_LINE = """
+[scene]
+name = pentagon-line
+dim = 2
+bbox = (-6.0, -6.0) (6.0, 6.0)
+combine = union
+
+[set]
+other = line(point=(-1.1908609114329332, -1.5981559109712267), direction=(0.6462010364317364, -0.7631672297174124))
+poly = intersection(halfspace(normal=(-0.7631672297174124, -0.6462010364317364), offset=1.041556028806137), halfspace(normal=(0.37874206300235497, -0.9255022688857766), offset=1.5325763004795852), halfspace(normal=(0.9972426976221218, 0.07420917759518218), offset=1.470875799492671), halfspace(normal=(0.23758781916075028, 0.9713660629167763), offset=0.9417225210864135), halfspace(normal=(-0.8504053500678147, 0.5261280648055545), offset=0.6763883107598246))
+
+[radius]
+poly = 5.0
+other = 5.0
+
+[samples]
+seed = 1
+boundary_samples = 24
+rho_max = 100
+delta_list = 1 10
+"""
+PENTAGON_PROBE = (-0.12408716012501031, -1.468903820334889)
+
+
 class TestConstructWitness:
+    def test_unresolvable_interior_point_fails_the_witness(self, tmp_path, capsys):
+        scene = parse_scene(PENTAGON_LINE)
+        w = construct_witness(
+            scene.desc, scene.radius_field, PENTAGON_PROBE, delta_list=(1.0, 10.0), seed=1,
+            rho_max=100.0,
+        )
+        assert w.ok is False and w.case_tag == "failed"
+        assert "no interior point found" in w.note
+        path = tmp_path / "pentagon-line.scene"
+        path.write_text(PENTAGON_LINE)
+        assert main(["cover", str(path), "--points", repr(PENTAGON_PROBE)]) == 1
+        assert "ok=False" in capsys.readouterr().out
+
     def test_strip_direct_case(self, strip):
         w = construct_witness(strip.desc, strip.rf, (0, 1))
         assert w.ok and w.case_tag == "C1-direct"

@@ -1,0 +1,115 @@
+"""Golden report digests: every (scene, command) pair pinned bit for bit.
+
+The digest is the 16-hex-digit prefix that ``extsphere`` prints; it covers
+the JSON report minus ``timings``.  The pins hold for the numpy version
+recorded in ``PINNED_NUMPY``.  A refactor must leave every one unchanged; a
+deliberate re-pin goes in CHANGES.md with its reason.
+"""
+
+import json
+import os
+import platform
+
+import numpy as np
+import pytest
+
+from extsphere.cli import main
+
+SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
+
+PINNED_NUMPY = "2.4.6"
+
+# (check, harness, report, cover) per bundled scene, each at the scene's own
+# parameters; cover uses the scene's own probe points.
+BUNDLED = {
+    "strip": ("8c27c67c3b716612", "4b736b3e22897e38", "b1196b417416ada9", "4d26e83a847c2322"),
+    "lineplane": ("3aefcdd71a007ad4", "4aa5661aa55036e0", "877e60609a53cb22", "f3b69119039f6b05"),
+    "ball": ("95072e7909de383f", "77712a5711651609", "75de1f83a65fac13", "18ede0e81fef9ef2"),
+    "ballcomplement": ("f404f9042a6ac5da", "f2a413c844d27104", "b26f6b06b40ad909", "6297c01fa62c3e15"),
+    "halfplane": ("173f134a8bd19c10", "bc70a646218e43be", "0ab5471db682063d", "caa03f96ed2b4805"),
+    "pointset": ("d053cef8abd8a06f", "7b34423999f8071c", "cbf14ee22337e299", "43c3a449f8cf4eca"),
+}
+COMMANDS = ("check", "harness", "report", "cover")
+
+# No bundled scene has an intersection; these two send every query through
+# a convex intersection nested in a union.
+POLYDISK = """
+[scene]
+name = polydisk
+dim = 2
+bbox = (-4, -4) (6, 4)
+combine = union
+
+[set]
+poly = intersection(halfspace(normal=(1, 0), offset=1), halfspace(normal=(0, 1), offset=1), halfspace(normal=(-1, 0), offset=1), halfspace(normal=(0, -1), offset=1), halfspace(normal=(1, 1), offset=1.5))
+disk = ball(center=(3.5, 0), radius=1)
+
+[radius]
+poly = 0.4
+disk = 0.4
+
+[samples]
+seed = 3
+rho_max = 100
+delta_list = 1 10
+"""
+
+CUBELINE = """
+[scene]
+name = cubeline
+dim = 3
+bbox = (-3, -3, -3) (3, 3, 3)
+combine = union
+
+[set]
+cube = intersection(halfspace(normal=(1, 0, 0), offset=1), halfspace(normal=(-1, 0, 0), offset=1), halfspace(normal=(0, 1, 0), offset=1), halfspace(normal=(0, -1, 0), offset=1), halfspace(normal=(0, 0, 1), offset=1), halfspace(normal=(0, 0, -1), offset=1))
+rail = line(point=(0, 0, 2), direction=(1, 1, 0))
+
+[radius]
+cube = 0.4
+rail = 0.4
+
+[samples]
+seed = 5
+rho_max = 100
+delta_list = 1 10
+"""
+
+INTERSECTION_CASES = {
+    ("polydisk", "check"): (POLYDISK, ["--samples", "12"], "e207948af49ad9a9"),
+    ("polydisk", "cover"): (POLYDISK, ["--points", "(1.05, 0) (0, -1.02) (0.8, 0.8)"], "209b2bf09a7c9651"),
+    ("cubeline", "check"): (CUBELINE, ["--samples", "6"], "2a3d59969b47b635"),
+}
+
+
+def _digest(tmp_path, command, scene_path, extra=()):
+    out = tmp_path / "report.json"
+    code = main([command, scene_path, *extra, "--json-report", str(out)])
+    assert code in (0, 1), f"{command} exited {code}"
+    return json.loads(out.read_text())["digest"]
+
+
+def _explain(name, command, actual, pinned):
+    return (
+        f"{name} {command}: digest {actual}, pinned {pinned} "
+        f"(numpy {np.__version__}, pinned under {PINNED_NUMPY}; "
+        f"python {platform.python_version()})"
+    )
+
+
+@pytest.mark.parametrize(
+    "name,command", [(name, command) for name in BUNDLED for command in COMMANDS]
+)
+def test_bundled_digest(tmp_path, capsys, name, command):
+    pinned = BUNDLED[name][COMMANDS.index(command)]
+    actual = _digest(tmp_path, command, os.path.join(SCENES, f"{name}.scene"))
+    assert actual == pinned, _explain(name, command, actual, pinned)
+
+
+@pytest.mark.parametrize("name,command", sorted(INTERSECTION_CASES))
+def test_intersection_digest(tmp_path, capsys, name, command):
+    text, extra, pinned = INTERSECTION_CASES[(name, command)]
+    path = tmp_path / f"{name}.scene"
+    path.write_text(text)
+    actual = _digest(tmp_path, command, str(path), extra)
+    assert actual == pinned, _explain(name, command, actual, pinned)

@@ -17,7 +17,7 @@ from extsphere.sets import (
 )
 from extsphere.proximal import directional_distance, directional_distance_marched
 
-from conftest import make_ball, make_lineplane, make_strip
+from conftest import make_ball, make_lineplane, make_polydisk, make_strip
 
 
 class TestMembership:
@@ -156,8 +156,20 @@ class TestBoundarySampling:
         assert all(np.array_equal(p, q) and l1 == l2 for (p, l1), (q, l2) in zip(a, b))
 
 
+# Dykstra stops once the iterate repeats over one sweep, even while its
+# corrections still move: from (1.53, 3.39) it stops at the cut facet's
+# foot (0.75, 0.75), 2.756 away, and flags it converged; the vertex
+# (0.5, 1) is 2.605 away.  Ten of the thousand probes miss by up to 0.17.
+DYKSTRA_EARLY_STOP = pytest.mark.xfail(
+    strict=True, reason="Dykstra stop rule ignores the corrections (open defect)"
+)
+
+
 class TestGridOracle:
-    @pytest.mark.parametrize("maker", [make_strip, make_lineplane, make_ball])
+    @pytest.mark.parametrize("maker", [
+        make_strip, make_lineplane, make_ball,
+        pytest.param(make_polydisk, marks=DYKSTRA_EARLY_STOP),
+    ])
     def test_analytic_distance_matches_grid(self, maker):
         fix = maker()
         desc = fix.desc
@@ -234,6 +246,29 @@ class TestIntersection:
         assert np.allclose(proj.points[0], [0, 0], atol=1e-9)
         assert lens.distance((3, -0.0)) == pytest.approx(1.0)
 
+    def test_projection_exactness_flags(self, ballcomplement, polydisk):
+        # Every sphere point is closest to the centre; the pick is not certified.
+        assert ballcomplement.desc.project((0, 0)).exactness == "approximate"
+        assert ballcomplement.desc.project((0.3, 0)).exactness == "exact"
+        assert polydisk.desc.project((0.8, 0.8)).exactness == "exact"
+
+    def test_nested_intersection_rejected(self):
+        inner = Intersection([HalfSpace((1, 0), 0.0, label="a"), HalfSpace((0, 1), 0.0, label="b")])
+        with pytest.raises(SetError):
+            ClosedSetDesc(
+                Intersection([inner, HalfSpace((1, 1), 1.0, label="c")]), box=((-4, -4), (4, 4))
+            )
+
+    def test_convexity_of_node_trees(self, ball, strip, polydisk):
+        quad = ClosedSetDesc(
+            Intersection([HalfSpace((1, 0), 0.0, label="hx"), HalfSpace((0, 1), 0.0, label="hy")]),
+            box=((-5, -5), (5, 5)),
+        )
+        assert ball.desc.is_convex() and quad.is_convex()
+        assert not strip.desc.is_convex() and not polydisk.desc.is_convex()
+        reg = polydisk.desc.closure_of_interior()
+        assert isinstance(reg.root, Union) and not reg.is_convex()
+
     def test_nonconvex_children_rejected(self):
         with pytest.raises(SetError):
             ClosedSetDesc(
@@ -269,9 +304,9 @@ class TestSceneValidation:
 
 
 class TestRayIntervals:
-    def test_matches_marched_reference_on_full_dim_sets(self, strip, ball):
+    def test_matches_marched_reference_on_full_dim_sets(self, strip, ball, polydisk):
         rng = np.random.default_rng(23)
-        for fix in (strip, ball):
+        for fix in (strip, ball, polydisk):
             desc = fix.desc
             for _ in range(40):
                 x = desc.sample_exterior(1, seed=int(rng.integers(2**31)))[0]
