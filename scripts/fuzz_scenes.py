@@ -5,7 +5,8 @@ Builds random multi-component scenes (disjoint half-planes, balls, lines,
 points, or a lone ball complement), attaches random radius rules, and then
 checks, per scene:
 
-* analytic distances agree with the brute-force grid cloud (2h),
+* analytic distances agree with the brute-force grid cloud within 2h (where
+  the nearest set point may lie outside the box, analytic <= brute + 2h),
 * every constructed witness is sound against the analytic distance,
 * on scenes where the condition holds, witness construction never fails,
 * the three-way harness verdicts agree (the consistency flag).
@@ -97,7 +98,11 @@ def run_one(seed: int, with_harness: bool) -> list[str]:
     probe = rng.uniform(lo, hi, size=(200, 2))
     analytic = desc.distance_many(probe)
     brute = oracle.distance_many(probe)
-    worst = float(np.max(np.abs(analytic - brute)))
+    # The brute cloud stops at the box, so brute bounds the distance from
+    # above everywhere but from below only where its ball stays in the box.
+    inside = brute <= np.minimum(probe - lo, hi - probe).min(axis=1)
+    gap = np.where(inside, np.abs(analytic - brute), analytic - brute)
+    worst = float(np.max(gap))
     if worst > 2 * oracle.h:
         problems.append(f"seed {seed}: grid disagreement {worst:.3g} > {2*oracle.h:.3g}")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import INF, ConstructionError, GeometryError, as_tuple, as_vec, ext_min, norm, normalized
+from .geom import INF, ConstructionError, GeometryError, as_tuple, as_vec, norm, normalized
 from .proximal import (
     RHO_MIN,
     RadiusField,
@@ -44,16 +44,13 @@ def cover_radius(desc: ClosedSetDesc, radius_field: RadiusField, x) -> float:
     x = as_vec(x, dim=desc.dim)
     if desc.contains(x):
         raise GeometryError(f"point {x.tolist()} lies in the set; exterior point required")
-    proj = desc.project(x)
-    values = [radius_field.value(p, labels) for p, labels in zip(proj.points, proj.labels)]
-    out = INF
-    for v in values:
-        out = ext_min(out, v / 2.0 if math.isfinite(v) else INF)
-    return out
+    *_, rho = attaining_projection(desc, radius_field, x)
+    return rho
 
 
 def attaining_projection(desc: ClosedSetDesc, radius_field: RadiusField, x):
-    """The projection point attaining the cover radius (lexicographic tie-break)."""
+    """The projection point attaining the cover radius (lexicographic
+    tie-break), its labels, the projection, and the cover radius."""
     x = as_vec(x, dim=desc.dim)
     proj = desc.project(x)
     scored = []
@@ -61,9 +58,8 @@ def attaining_projection(desc: ClosedSetDesc, radius_field: RadiusField, x):
         v = radius_field.value(p, labels)
         half = v / 2.0 if math.isfinite(v) else INF
         scored.append((half, tuple(p), p, labels))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    _, _, p, labels = scored[0]
-    return p, labels, proj
+    half, _, p, labels = min(scored, key=lambda t: (t[0], t[1]))
+    return p, labels, proj, half
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import INF, Ball, ConstructionError, GeometryError, as_tuple, as_vec, norm, normalized, sphere_line_roots
-from .conditions import attaining_projection, cover_radius
+from .conditions import attaining_projection
 from .proximal import (
     RadiusField,
     best_normal,
@@ -37,7 +37,7 @@ from .proximal import (
     default_rho_max,
     sample_unit_normals,
 )
-from .sets import ClosedSetDesc
+from .sets import ClosedSetDesc, owning_leaves
 
 EPS_HALVINGS = 60
 
@@ -94,12 +94,7 @@ def find_interior_point_near(
         raise GeometryError("eps must be positive")
     if not desc.in_boundary_of_interior(a):
         raise GeometryError(f"{a.tolist()} is not on the boundary of the interior")
-    P = a[None, :]
-    for leaf in desc.leaves:
-        if not bool(leaf.contains_many(P, desc.cluster_tol)[0]):
-            continue
-        if float(leaf.boundary_distance_many(P)[0]) > desc.cluster_tol:
-            continue
+    for leaf in owning_leaves(desc.leaves, a, desc.cluster_tol):
         z = leaf.interior_offset(a, eps)
         if z is not None and norm(z - a) < eps and desc.interior_contains(z):
             return z
@@ -302,8 +297,7 @@ def construct_witness(
         raise GeometryError(f"{x.tolist()} lies in the set; witnesses cover the complement")
     density = default_density(desc.dim) if density is None else density
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
-    rho = cover_radius(desc, radius_field, x)
-    a_x, labels, proj = attaining_projection(desc, radius_field, x)
+    a_x, labels, proj, rho = attaining_projection(desc, radius_field, x)
     rho_x = proj.distance
     zeta = normalized(x - a_x)
     tol = desc.realize_tol

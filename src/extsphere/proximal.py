@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import INF, GeometryError, as_vec, ensure_ext_real, ext_min, norm, normalized, unit, unit_direction_grid
-from .sets import ClosedSetDesc
+from .sets import ClosedSetDesc, owning_leaves
 
 # Smallest sphere radius at which cone membership is probed.
 RHO_MIN = 1e-6
@@ -290,12 +290,7 @@ def is_proximal_normal(
         # neighbors from the leaves owning a (exact even on thin components)
         # plus rejection draws for full-dimensional parts.
         local = []
-        owners = [
-            leaf
-            for leaf in desc.leaves
-            if bool(leaf.contains_many(a[None, :], desc.cluster_tol)[0])
-            and float(leaf.boundary_distance_many(a[None, :])[0]) <= desc.cluster_tol
-        ]
+        owners = owning_leaves(desc.leaves, a, desc.cluster_tol)
         for k in range(2, 46):
             scale = desc.diameter * 2.0**-k
             for leaf in owners:
@@ -434,12 +429,7 @@ def cone_filter_tol(desc: ClosedSetDesc, density: int, rho_test: float) -> float
     """
     theta = 2.0 * math.pi / max(density, 8)
     separation = 0.25 * rho_test * theta * theta
-    noise_floor = 5e-14 * max(1.0, desc.diameter)
-    return max(noise_floor, min(desc.realize_tol, separation))
-
-
-def _margin_noise_floor(desc: ClosedSetDesc) -> float:
-    return 5e-14 * max(1.0, desc.diameter)
+    return max(desc.margin_noise, min(desc.realize_tol, separation))
 
 
 def _tangent_basis(direction: np.ndarray) -> list[np.ndarray]:
@@ -507,14 +497,10 @@ def sample_unit_normals(
     density = default_density(desc.dim) if density is None else density
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
     dirs = [unit_direction_grid(desc.dim, density)]
-    for leaf in desc.leaves:
-        P = a[None, :]
-        if bool(leaf.contains_many(P, desc.cluster_tol)[0]) and float(
-            leaf.boundary_distance_many(P)[0]
-        ) <= desc.cluster_tol:
-            cand = leaf.normal_directions(a)
-            if cand:
-                dirs.append(np.asarray(cand))
+    for leaf in owning_leaves(desc.leaves, a, desc.cluster_tol):
+        cand = leaf.normal_directions(a)
+        if cand:
+            dirs.append(np.asarray(cand))
     if extra_directions is not None and len(extra_directions):
         dirs.append(np.asarray([normalized(d) for d in extra_directions]))
     all_dirs = np.concatenate(dirs, axis=0)
@@ -527,7 +513,7 @@ def sample_unit_normals(
     # Directions inside the tolerance shadow (realized only up to tol, not up
     # to float noise) are angular neighbors of a true normal; refine them to
     # the local margin maximum so duplicates collapse onto the exact one.
-    noise = _margin_noise_floor(desc)
+    noise = desc.margin_noise
     theta = 2.0 * math.pi / density
     refined = []
     for d, m, ok in zip(all_dirs, margins, passed):

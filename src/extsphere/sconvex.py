@@ -21,6 +21,7 @@ set), and reports whether the three verdicts agree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +38,7 @@ from .proximal import (
     realization_margins,
     sample_unit_normals,
 )
-from .sets import ClosedSetDesc
+from .sets import ClosedSetDesc, SetError
 
 
 # ---------------------------------------------------------------------------
@@ -107,34 +108,52 @@ def is_realizable_boundary_point(ctx: EnvelopeContext, a, density: int | None = 
     return ctx.realizable_boundary_point(a)
 
 
+def _classifier(desc: ClosedSetDesc, proj):
+    """interior(k): projection point k on the boundary of the interior,
+    decided lazily and at most once, so the zones share one classification."""
+    return functools.cache(lambda k: desc.in_boundary_of_interior(proj.points[k]))
+
+
+def _reach_zone(ctx: EnvelopeContext, x, proj, capped: bool) -> bool:
+    if proj.multiplicity != 1 or proj.distance <= 0.0:
+        return False
+    a, d = proj.points[0], proj.distance
+    if capped and not d < ctx.boundary_radius(a, proj.labels[0]):
+        return False
+    return ctx._strictly_realized(a, normalized(x - a), d)
+
+
+def _thin_zone(ctx: EnvelopeContext, proj, interior) -> bool:
+    return any(
+        not interior(k) and proj.distance < ctx.boundary_radius(p, labels)
+        for k, (p, labels) in enumerate(zip(proj.points, proj.labels))
+    )
+
+
+def _unrealizable_zone(ctx: EnvelopeContext, proj, interior) -> bool:
+    return any(
+        interior(k) and not ctx.realizable_boundary_point(p, labels)
+        for k, (p, labels) in enumerate(zip(proj.points, proj.labels))
+    )
+
+
+def _exterior_projection(ctx: EnvelopeContext, x):
+    """The projection of x, or None when x lies in the set."""
+    return None if ctx.desc.contains(x) else ctx.desc.project(x)
+
+
 def near_thin_boundary(ctx: EnvelopeContext, x) -> bool:
     """Exterior points with a projection on an interior-free boundary part
     closer than the boundary radius there (strictly)."""
-    x = as_vec(x, dim=ctx.desc.dim)
-    if ctx.desc.contains(x):
-        return False
-    proj = ctx.desc.project(x)
-    for p, labels in zip(proj.points, proj.labels):
-        if ctx.desc.in_boundary_of_interior(p):
-            continue
-        if proj.distance < ctx.boundary_radius(p, labels):
-            return True
-    return False
+    proj = _exterior_projection(ctx, as_vec(x, dim=ctx.desc.dim))
+    return proj is not None and _thin_zone(ctx, proj, _classifier(ctx.desc, proj))
 
 
 def near_unrealizable_boundary(ctx: EnvelopeContext, x) -> bool:
     """Exterior points with a projection on the boundary of the interior
     where no sampled normal reaches the boundary radius."""
-    x = as_vec(x, dim=ctx.desc.dim)
-    if ctx.desc.contains(x):
-        return False
-    proj = ctx.desc.project(x)
-    for p, labels in zip(proj.points, proj.labels):
-        if not ctx.desc.in_boundary_of_interior(p):
-            continue
-        if not ctx.realizable_boundary_point(p, labels):
-            return True
-    return False
+    proj = _exterior_projection(ctx, as_vec(x, dim=ctx.desc.dim))
+    return proj is not None and _unrealizable_zone(ctx, proj, _classifier(ctx.desc, proj))
 
 
 def in_unique_reach_zone(ctx: EnvelopeContext, x, capped: bool = False) -> bool:
@@ -142,27 +161,22 @@ def in_unique_reach_zone(ctx: EnvelopeContext, x, capped: bool = False) -> bool:
     realization radius along the projection direction (optionally capped by
     the boundary radius field)."""
     x = as_vec(x, dim=ctx.desc.dim)
-    if ctx.desc.contains(x):
-        return False
-    proj = ctx.desc.project(x)
-    if proj.multiplicity != 1 or proj.distance <= 0.0:
-        return False
-    a = proj.points[0]
-    d = proj.distance
-    if capped and not d < ctx.boundary_radius(a, proj.labels[0]):
-        return False
-    return ctx._strictly_realized(a, normalized(x - a), d)
+    proj = _exterior_projection(ctx, x)
+    return proj is not None and _reach_zone(ctx, x, proj, capped)
 
 
 def in_envelope(ctx: EnvelopeContext, x, capped: bool = False) -> bool:
-    """Membership in the full envelope (or the capped one, see the module doc)."""
+    """Membership in the full envelope (or the capped one, see the module doc):
+    the set, then the reach zone, the thin-margin set and the unrealizable
+    set, all from one projection of x."""
     x = as_vec(x, dim=ctx.desc.dim)
-    return (
-        ctx.desc.contains(x)
-        or in_unique_reach_zone(ctx, x, capped=capped)
-        or near_thin_boundary(ctx, x)
-        or near_unrealizable_boundary(ctx, x)
-    )
+    proj = _exterior_projection(ctx, x)
+    if proj is None:
+        return True
+    if _reach_zone(ctx, x, proj, capped):
+        return True
+    interior = _classifier(ctx.desc, proj)
+    return _thin_zone(ctx, proj, interior) or _unrealizable_zone(ctx, proj, interior)
 
 
 def in_full_envelope(ctx: EnvelopeContext, x) -> bool:
@@ -541,7 +555,7 @@ def check_thin_margin_open(
     rng = np.random.default_rng(seed)
     try:
         pool = desc.sample_exterior(8 * samples, seed=seed)
-    except Exception:  # complement nearly empty
+    except SetError:  # complement nearly empty
         return OpennessReport("holds", 0, [], seed, ["no exterior probes available"])
     members = [p for p in pool if near_thin_boundary(ctx, p)][:samples]
     if not members:

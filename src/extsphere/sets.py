@@ -933,6 +933,8 @@ class ClosedSetDesc:
         # Marginal band for emptiness decisions (reported, never decisive).
         self.ball_tol = 1e-7 * self.diameter
         self.cluster_tol = 1e-6 * self.diameter
+        # Float noise of realization margins near the tangent-sphere threshold.
+        self.margin_noise = 5e-14 * max(1.0, self.diameter)
         # Dykstra stops once a sweep moves the iterate by at most this.
         self.dykstra_tol = max(1e-13, 1e-12 * self.diameter)
         self._oracle: GridOracle | None = None
@@ -1040,7 +1042,7 @@ class ClosedSetDesc:
     def boundary_labels_at(self, p, tol: float | None = None) -> tuple[str, ...]:
         """Labels of leaves whose boundary passes within tol of p."""
         tol = self.cluster_tol if tol is None else tol
-        return boundary_labels_of_leaves(self.leaves, np.asarray(p, dtype=float), tol)
+        return boundary_labels_of_leaves(self.leaves, p, tol)
 
     def on_boundary(self, p) -> bool:
         return self.contains(p) and not self.interior_contains(p)
@@ -1202,10 +1204,15 @@ def _sphere_local_points(center, radius, a, scale) -> np.ndarray | None:
     return np.asarray(out)
 
 
+def owning_leaves(leaves, p, tol) -> list:
+    """The leaves, in order, that contain p and whose boundary passes within
+    tol of it."""
+    P = np.asarray(p, dtype=float)[None, :]
+    return [
+        leaf for leaf in leaves
+        if bool(leaf.contains_many(P, tol)[0]) and float(leaf.boundary_distance_many(P)[0]) <= tol
+    ]
+
+
 def boundary_labels_of_leaves(leaves, p, tol) -> tuple[str, ...]:
-    out = []
-    P = p[None, :]
-    for leaf in leaves:
-        if bool(leaf.contains_many(P, tol)[0]) and float(leaf.boundary_distance_many(P)[0]) <= tol:
-            out.append(leaf.label)
-    return tuple(sorted(out))
+    return tuple(sorted(leaf.label for leaf in owning_leaves(leaves, p, tol)))

@@ -13,6 +13,7 @@ from extsphere.cover import (
 )
 from extsphere.geom import GeometryError
 from extsphere.scene import parse_scene
+from extsphere.sets import ClosedSetDesc
 
 from conftest import make_ball, make_ballcomplement, make_strip
 
@@ -179,6 +180,20 @@ class TestConstructWitness:
         w = construct_witness(halfplane.desc, halfplane.rf, (0.3, 2), delta_list=(1.0, 5.0))
         assert w.ok and w.case_tag == "C2-finite-delta"
         assert np.allclose(w.direction, [0, 1], atol=1e-6)
+
+    def test_one_projection_per_witness(self, strip, monkeypatch):
+        calls = []
+        original = ClosedSetDesc.project
+
+        def counting(desc, x):
+            calls.append(tuple(np.asarray(x, dtype=float)))
+            return original(desc, x)
+
+        monkeypatch.setattr(ClosedSetDesc, "project", counting)
+        for x in [(0, 1), (0, 1.75), (0, 0.3), (3, 1.5), (-2, 0.01)]:
+            calls.clear()
+            assert construct_witness(strip.desc, strip.rf, x).ok
+            assert calls == [x], x
 
     def test_rejects_member_point(self, strip):
         with pytest.raises(GeometryError):

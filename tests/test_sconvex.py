@@ -11,13 +11,14 @@ from extsphere.sconvex import (
     check_thin_margin_open,
     equivalence_harness,
     in_capped_envelope,
+    in_envelope,
     in_full_envelope,
     in_unique_reach_zone,
     is_s_convex,
     near_thin_boundary,
     near_unrealizable_boundary,
 )
-from extsphere.sets import ClosedBall, ClosedSetDesc, Union
+from extsphere.sets import ClosedBall, ClosedSetDesc, HalfSpace, Union
 
 from conftest import make_ball
 
@@ -107,6 +108,43 @@ class TestEnvelopes:
                 assert full == (capped or reach)
                 assert not (thin and not capped)
                 assert not (reach_capped and not reach)
+                # The module-doc identity: the set, the reach zone, the
+                # thin-margin set and the unrealizable set.
+                rest = ctx.desc.contains(p) or thin or near_unrealizable_boundary(ctx, p)
+                assert in_envelope(ctx, p, False) == full == (rest or reach)
+                assert in_envelope(ctx, p, True) == capped == (rest or reach_capped)
+
+
+class TestSingleProjection:
+    """Envelope membership projects an exterior point once and classifies
+    each projection point at most once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"project": 0, "in_boundary_of_interior": 0}
+        for name in counts:
+            original = getattr(ClosedSetDesc, name)
+
+            def counting(desc, *args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(desc, *args, **kwargs)
+
+            monkeypatch.setattr(ClosedSetDesc, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("predicate", [in_full_envelope, in_capped_envelope])
+    def test_one_projection_per_exterior_query(self, calls, lp_ctx, strip_ctx, predicate):
+        probes = (
+            (lp_ctx, [(0, 0.5), (0, -0.5), (0, 1), (0, 1.5), (0, 2), (0, 3), (0, -1), (2.5, 3.9)]),
+            (strip_ctx, [(0, 0.3), (0, 0.75), (0, 1), (0, 1.5), (0, 1.7), (4, 1.99)]),
+        )
+        for ctx, pts in probes:
+            for p in pts:
+                calls.update(project=0, in_boundary_of_interior=0)
+                predicate(ctx, p)
+                assert calls["project"] == 1, p
+                multiplicity = ctx.desc.project(p).multiplicity
+                assert calls["in_boundary_of_interior"] <= multiplicity, p
 
 
 class TestRealizableBoundaryPoints:
@@ -231,6 +269,21 @@ class TestThinMarginOpenness:
         report = check_thin_margin_open(strip_ctx, samples=30, seed=3)
         assert report.verdict == "holds"
         assert report.tested == 0
+
+    def test_set_filling_its_box_has_no_exterior_probes(self):
+        desc = ClosedSetDesc(HalfSpace((0, 1), 100.0, label="h"), box=((-1, -1), (1, 1)))
+        ctx = EnvelopeContext(desc, RadiusField.from_sources({"h": 1}))
+        report = check_thin_margin_open(ctx)
+        assert (report.verdict, report.tested) == ("holds", 0)
+        assert report.notes == ["no exterior probes available"]
+
+    def test_unrelated_sampling_errors_propagate(self, strip_ctx, monkeypatch):
+        def broken(desc, count, seed=0):
+            raise TypeError("not a sampling shortfall")
+
+        monkeypatch.setattr(ClosedSetDesc, "sample_exterior", broken)
+        with pytest.raises(TypeError, match="sampling shortfall"):
+            check_thin_margin_open(strip_ctx)
 
 
 class TestUniqueProjectionUnderSegmentContainment:
