@@ -7,7 +7,7 @@ convexity characterizations, all against brute-force geometric oracles at
 desk scale (dimensions 2 and 3).
 """
 
-from .geom import INF, Ball, GeometryError, Segment, ext_min, sphere_line_roots
+from .geom import INF, Ball, GeometryError, ext_min, sphere_line_roots
 from .sets import (
     AffineSubspace,
     BallComplement,

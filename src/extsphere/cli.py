@@ -177,9 +177,8 @@ def _cmd_sconvex(scene: Scene, args, seed, samples, density, rho_max, deltas) ->
         "space": lambda p: True,
     }[args.envelope]
     report = _sconvex.is_s_convex(
-        scene.desc, membership, scene.radius_field,
-        boundary_samples=min(samples, 120), density=density, seed=seed,
-        rho_max=rho_max, ctx=ctx,
+        scene.desc, membership, boundary_samples=min(samples, 120), density=density,
+        seed=seed, rho_max=rho_max,
     )
     lines = [
         f"sconvex[{args.envelope}]: {report.verdict} "
@@ -230,17 +229,14 @@ def _cmd_harness(scene: Scene, args, seed, samples, density, rho_max, deltas) ->
 
 
 def _cmd_report(scene: Scene, args, seed, samples, density, rho_max, deltas) -> _Outcome:
-    condition = _conditions.check_extended_condition(
-        scene.desc, scene.radius_field, boundary_samples=samples, density=density,
-        seed=seed, rho_max=rho_max,
-    )
     lsc = _conditions.audit_lower_semicontinuity(
         scene.desc, scene.radius_field, rays=scene.samples.rays, seed=seed,
     )
     harness = _sconvex.equivalence_harness(
-        scene.desc, scene.radius_field, boundary_samples=min(samples, 120),
+        scene.desc, scene.radius_field, boundary_samples=samples,
         density=density, seed=seed, rho_max=rho_max,
     )
+    condition = harness.condition
     cover_rep = _conditions.verify_union_of_balls(
         scene.desc,
         rho_fn=lambda x: _conditions.cover_radius(scene.desc, scene.radius_field, x),

@@ -305,18 +305,17 @@ def audit_lower_semicontinuity(
     radius_field: RadiusField,
     rays=None,
     random_rays: int = 20,
-    steps: int = 20,
     seed: int = 0,
-    tol: float | None = None,
 ) -> LscReport:
     """Sampled lower-semicontinuity audit of the cover radius.
 
-    Sequences approach each target along declared rays plus random ones; the
-    liminf estimate (tail minimum) must not undercut the value at the target
-    by more than the tolerance.  Genuine jumps (limit different from the
-    value while lsc holds) are flagged as discontinuities, not failures.
+    Sequences of up to 20 halving steps approach each target along declared
+    rays plus random ones; the liminf estimate (tail minimum) must not
+    undercut the value at the target by more than 1e-6 times the scene
+    diameter.  Genuine jumps (limit different from the value while lsc holds)
+    are flagged as discontinuities, not failures.
     """
-    tol = 1e-6 * desc.diameter if tol is None else tol
+    tol = 1e-6 * desc.diameter
     rng = np.random.default_rng(seed)
     ray_list = [(as_vec(p, dim=desc.dim), normalized(v)) for p, v in (rays or [])]
     if random_rays:
@@ -333,7 +332,7 @@ def audit_lower_semicontinuity(
         clearance = desc.distance(target)
         s0 = max(min(0.2 * desc.diameter, 0.9 * clearance), 1e-9)
         tail: list[float] = []
-        for k in range(steps):
+        for k in range(20):
             s = s0 * 2.0**-k
             if s < 4.0 * desc.cluster_tol:
                 # Below the projection clustering resolution the sequence is
@@ -391,16 +390,15 @@ def verify_union_of_balls(
     samples: int = 200,
     delta_list=(1.0, 10.0, 100.0),
     seed: int = 0,
-    tol: float | None = None,
 ) -> CoverReport:
     """Check the union-of-closed-balls property of the complement by sampling.
 
     Finite cover radius: the witness ball must contain the sample and keep
     its full radius away from the set.  Infinite cover radius: the witness
     direction must admit the tangent family of closed delta-balls for every
-    requested delta.
+    requested delta.  Both tests allow the scene's ball tolerance.
     """
-    tol = desc.ball_tol if tol is None else tol
+    tol = desc.ball_tol
     pts = desc.sample_exterior(samples, seed=seed)
     violations: list[CoverViolation] = []
     for x in pts:

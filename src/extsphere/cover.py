@@ -81,13 +81,12 @@ def bridging_ball_radius(clearance: float, separation: float, cover: float) -> f
     return clearance * clearance * separation / denom
 
 
-def find_interior_point_near(
-    desc: ClosedSetDesc, a, eps: float, seed: int = 0, max_draws: int = 100_000
-) -> np.ndarray:
+def find_interior_point_near(desc: ClosedSetDesc, a, eps: float, seed: int = 0) -> np.ndarray:
     """A point of the interior within eps of a boundary-of-interior point.
 
     Analytic inward offsets of the leaves owning the point are tried first;
-    rejection sampling inside the eps-ball is the fallback.
+    rejection sampling of up to 100,000 draws inside the eps-ball is the
+    fallback.
     """
     a = as_vec(a, dim=desc.dim)
     if not (eps > 0.0):
@@ -100,7 +99,7 @@ def find_interior_point_near(
             return z
     rng = np.random.default_rng(seed)
     chunk = 512
-    for _ in range(max(1, max_draws // chunk)):
+    for _ in range(100_000 // chunk):
         raw = rng.normal(size=(chunk, desc.dim))
         dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         radii = 0.999 * eps * rng.random(chunk) ** (1.0 / desc.dim)

@@ -1,5 +1,6 @@
 """Shared low-level geometry: vectors, nonnegative extended reals, balls,
-segments, and the line-sphere quadratic used by the witness constructions.
+ray interval sets, and the line-sphere quadratic used by the witness
+constructions.
 
 Points and directions are plain float64 numpy arrays of length 2 or 3; the
 dimension is fixed per scene.  Extended reals are ordinary floats where
@@ -65,18 +66,18 @@ def normalized(v) -> np.ndarray:
     return v / length
 
 
-def unit(v, renorm_tol: float = UNIT_RENORM_TOL) -> np.ndarray:
+def unit(v) -> np.ndarray:
     """Ingest a direction that is supposed to be unit already.
 
     Lengths within ``UNIT_TOL`` of 1 pass through unchanged, lengths within
-    ``renorm_tol`` are renormalized, anything further off is rejected.
+    ``UNIT_RENORM_TOL`` are renormalized, anything further off is rejected.
     """
     v = np.asarray(v, dtype=float)
     length = float(np.linalg.norm(v))
     err = abs(length - 1.0)
     if err <= UNIT_TOL:
         return v
-    if err <= renorm_tol:
+    if err <= UNIT_RENORM_TOL:
         return v / length
     raise GeometryError(f"direction has length {length!r}, not a unit vector")
 
@@ -116,38 +117,6 @@ class Ball:
         if self.closed:
             return d <= self.radius + tol
         return d < self.radius - tol
-
-
-
-@dataclass(frozen=True, eq=False)
-class Segment:
-    """Segment between two points, with openness flags per endpoint."""
-
-    start: np.ndarray
-    end: np.ndarray
-    open_start: bool = False
-    open_end: bool = False
-    allow_degenerate: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "start", as_vec(self.start))
-        object.__setattr__(self, "end", as_vec(self.end, dim=self.start.shape[0]))
-        if not self.allow_degenerate and norm(self.end - self.start) == 0.0:
-            raise GeometryError("degenerate segment (equal endpoints)")
-
-    @property
-    def length(self) -> float:
-        return norm(self.end - self.start)
-
-    def point_at(self, t: float) -> np.ndarray:
-        return self.start + t * (self.end - self.start)
-
-    def sample(self, count: int) -> np.ndarray:
-        """Evenly spaced points, respecting the openness flags."""
-        lo = 1.0 / (count + 1) if self.open_start else 0.0
-        hi = 1.0 - 1.0 / (count + 1) if self.open_end else 1.0
-        ts = np.linspace(lo, hi, count)
-        return self.start[None, :] + ts[:, None] * (self.end - self.start)[None, :]
 
 
 def sphere_line_roots(x, xi, center, eps: float) -> tuple[float, float] | None:
@@ -224,9 +193,6 @@ class IntervalSet:
             else:
                 out.append((lo, hi))
         return IntervalSet(out)
-
-    def is_empty(self) -> bool:
-        return not self.spans
 
     def union(self, other: "IntervalSet", gap_tol: float = 0.0) -> "IntervalSet":
         return IntervalSet.merged(self.spans + other.spans, gap_tol)

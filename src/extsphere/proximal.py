@@ -154,10 +154,12 @@ class RadiusField:
             raise GeometryError(f"radius must be positive, got {value!r} at {p.tolist()}")
         return value
 
-    def validate_continuity(self, desc: ClosedSetDesc, pairs: int = 1000, tol: float = 1e-9, seed: int = 0) -> bool:
-        """Sampled Lipschitz audit |r(p)-r(q)| <= L ||p-q|| + tol per component."""
+    def validate_continuity(self, desc: ClosedSetDesc, seed: int = 0) -> bool:
+        """Sampled Lipschitz audit |r(p)-r(q)| <= L ||p-q|| + 1e-9 over 1000
+        pairs per component."""
         if self.lipschitz is None:
             return True
+        pairs = 1000
         rng = np.random.default_rng(seed)
         samples = desc.sample_boundary(max(64, pairs // 4), seed=seed)
         by_label: dict[str, list[np.ndarray]] = {}
@@ -177,7 +179,7 @@ class RadiusField:
                 if math.isinf(rp) or math.isinf(rq):
                     if rp != rq:
                         return False
-                elif abs(rp - rq) > self.lipschitz * norm(p - q) + tol:
+                elif abs(rp - rq) > self.lipschitz * norm(p - q) + 1e-9:
                     return False
                 checked += 1
             checked = 0
@@ -265,7 +267,6 @@ def is_proximal_normal(
     sigma: float,
     probes: int = 512,
     seed: int = 0,
-    include_local: bool = True,
 ) -> NormalCheck:
     """Probe the proximal normal inequality over set points.
 
@@ -284,27 +285,26 @@ def is_proximal_normal(
     rng = np.random.default_rng(seed)
     pools = [np.asarray([p for p, _ in desc.sample_boundary(max(8, probes // 2), seed=seed)])]
     pools.append(desc.oracle.probe_points(probes, rng))
-    if include_local:
-        # The inequality only bites at quadratic scale near the base point,
-        # so probe geometrically shrinking neighborhoods: parametric boundary
-        # neighbors from the leaves owning a (exact even on thin components)
-        # plus rejection draws for full-dimensional parts.
-        local = []
-        owners = owning_leaves(desc.leaves, a, desc.cluster_tol)
-        for k in range(2, 46):
-            scale = desc.diameter * 2.0**-k
-            for leaf in owners:
-                nearby = leaf.local_boundary_points(a, scale)
-                if nearby is not None and len(nearby):
-                    keep = desc.contains_many(nearby)
-                    local.extend(nearby[keep])
-            if k <= 40:
-                raw = rng.normal(size=(8, desc.dim))
-                cand = a + scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
-                keep = desc.contains_many(cand)
-                local.extend(cand[keep])
-        if local:
-            pools.append(np.asarray(local))
+    # The inequality only bites at quadratic scale near the base point, so
+    # probe geometrically shrinking neighborhoods: parametric boundary
+    # neighbors from the leaves owning a (exact even on thin components) plus
+    # rejection draws for full-dimensional parts.
+    local = []
+    owners = owning_leaves(desc.leaves, a, desc.cluster_tol)
+    for k in range(2, 46):
+        scale = desc.diameter * 2.0**-k
+        for leaf in owners:
+            nearby = leaf.local_boundary_points(a, scale)
+            if nearby is not None and len(nearby):
+                keep = desc.contains_many(nearby)
+                local.extend(nearby[keep])
+        if k <= 40:
+            raw = rng.normal(size=(8, desc.dim))
+            cand = a + scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            keep = desc.contains_many(cand)
+            local.extend(cand[keep])
+    if local:
+        pools.append(np.asarray(local))
     pts = np.concatenate(pools, axis=0)
     w = pts - a
     lhs = w @ zeta
@@ -322,24 +322,23 @@ def realization_radius(
     a,
     zeta,
     rho_max: float | None = None,
-    rho_min: float = RHO_MIN,
 ) -> float:
     """Largest rho at which the direction is realized by a rho-sphere.
 
-    Bisection over [rho_min, rho_max] using the monotonicity of realization
+    Bisection over [RHO_MIN, rho_max] using the monotonicity of realization
     (realized at rho implies realized at every smaller radius).  Realization
     at rho_max itself reports +inf under the documented cap protocol; convex
     sets short-circuit to exact +inf.  Raises NotRealizedError when even the
-    rho_min sphere meets the set.
+    RHO_MIN sphere meets the set.
     """
     a = as_vec(a, dim=desc.dim)
     zeta = unit(zeta)
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
-    if not is_realized_by_sphere(desc, a, zeta, rho_min):
+    if not is_realized_by_sphere(desc, a, zeta, RHO_MIN):
         raise NotRealizedError(
-            f"direction {zeta.tolist()} at {a.tolist()} is not realized at rho={rho_min}"
+            f"direction {zeta.tolist()} at {a.tolist()} is not realized at rho={RHO_MIN}"
         )
-    return float(_batch_realizations(desc, a, zeta[None, :], rho_min, rho_max)[0])
+    return float(_batch_realizations(desc, a, zeta[None, :], rho_max)[0])
 
 
 def capped_realization_radius(
@@ -347,7 +346,6 @@ def capped_realization_radius(
     radius_field: RadiusField,
     a,
     zeta,
-    labels=None,
     rho_max: float | None = None,
 ) -> float:
     """Realization radius capped by the boundary radius field at the base.
@@ -355,8 +353,7 @@ def capped_realization_radius(
     Equals the raw realization radius whenever the field is +inf there.
     """
     a = as_vec(a, dim=desc.dim)
-    labels = desc.boundary_labels_at(a) if labels is None else labels
-    cap = radius_field.value(a, labels)
+    cap = radius_field.value(a, desc.boundary_labels_at(a))
     return ext_min(realization_radius(desc, a, zeta, rho_max=rho_max), cap)
 
 
@@ -406,16 +403,17 @@ def directional_distance_marched(
     return hi
 
 
-def first_boundary_return(desc: ClosedSetDesc, a, zeta, t_floor: float | None = None) -> float:
+def first_boundary_return(desc: ClosedSetDesc, a, zeta) -> float:
     """First positive parameter at which the ray from a meets the set again.
 
     The base point is itself on the boundary; its degenerate touch at t=0 is
-    discarded via t_floor.  Rays that slide inside the set through the floor
-    report the floor itself (callers then skip the direction).
+    discarded below a floor of the membership tolerance (at least 1e-12).
+    Rays that slide inside the set through the floor report the floor itself
+    (callers then skip the direction).
     """
     a = as_vec(a, dim=desc.dim)
     zeta = unit(zeta)
-    t_floor = max(1e-12, desc.membership_tol) if t_floor is None else t_floor
+    t_floor = max(1e-12, desc.membership_tol)
     spans = desc.ray_membership_intervals(a, zeta)
     return spans.first_entry_after(t_floor)
 
@@ -480,14 +478,13 @@ def sample_unit_normals(
     rho_max: float | None = None,
     extra_directions=None,
     with_realizations: bool = True,
-    rho_min: float = RHO_MIN,
 ) -> list[ProxNormal]:
     """Sampled unit proximal normal cone at a boundary point.
 
     Sweeps a deterministic direction grid augmented with the analytic normal
     candidates of the leaves owning the point, keeps directions whose
-    rho_min tangent sphere misses the set (the proximal inequality at
-    sigma = 1/(2 rho_min)), and attaches realization radii.  May be empty:
+    RHO_MIN tangent sphere misses the set (the proximal inequality at
+    sigma = 1/(2 RHO_MIN)), and attaches realization radii.  May be empty:
     the cone can be trivial, and every verdict downstream is explicitly "at
     tested density".
     """
@@ -507,8 +504,8 @@ def sample_unit_normals(
     # Deduplicate (grid may repeat analytic candidates exactly).
     _, keep = np.unique(np.round(all_dirs, 9), axis=0, return_index=True)
     all_dirs = all_dirs[np.sort(keep)]
-    tol = cone_filter_tol(desc, density, rho_min)
-    margins = realization_margins(desc, a, all_dirs, rho_min)
+    tol = cone_filter_tol(desc, density, RHO_MIN)
+    margins = realization_margins(desc, a, all_dirs, RHO_MIN)
     passed = margins >= -tol
     # Directions inside the tolerance shadow (realized only up to tol, not up
     # to float noise) are angular neighbors of a true normal; refine them to
@@ -521,8 +518,8 @@ def sample_unit_normals(
             continue
         was_refined = False
         if m < -noise:
-            d = _refine_direction(desc, a, d, rho_min, span=theta)
-            m = float(realization_margins(desc, a, d[None, :], rho_min)[0])
+            d = _refine_direction(desc, a, d, RHO_MIN, span=theta)
+            m = float(realization_margins(desc, a, d[None, :], RHO_MIN)[0])
             if m < -noise:
                 continue
             was_refined = True
@@ -544,11 +541,11 @@ def sample_unit_normals(
     cone = np.asarray(kept)
     if not with_realizations:
         return [ProxNormal(a.copy(), d.copy(), math.nan) for d in cone]
-    reals = _batch_realizations(desc, a, cone, rho_min, rho_max)
+    reals = _batch_realizations(desc, a, cone, rho_max)
     return [ProxNormal(a.copy(), d.copy(), float(r)) for d, r in zip(cone, reals)]
 
 
-def _batch_realizations(desc, a, dirs, rho_min, rho_max) -> np.ndarray:
+def _batch_realizations(desc, a, dirs, rho_max) -> np.ndarray:
     """Realization radius of each direction row, bisected in lockstep."""
     if desc.is_convex():
         return np.full(dirs.shape[0], INF)
@@ -558,7 +555,7 @@ def _batch_realizations(desc, a, dirs, rho_min, rho_max) -> np.ndarray:
     todo = ~at_cap
     if not np.any(todo):
         return out
-    lo = np.full(int(todo.sum()), rho_min)
+    lo = np.full(int(todo.sum()), RHO_MIN)
     hi = np.full(int(todo.sum()), rho_max)
     sub = dirs[todo]
     width_tol = _BISECT_REL_TOL * rho_max

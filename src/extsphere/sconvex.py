@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import INF, GeometryError, as_tuple, as_vec, norm, normalized
+from .geom import GeometryError, as_tuple, as_vec, norm, normalized
 from .conditions import ConditionReport, check_extended_condition
 from .proximal import (
     RadiusField,
@@ -97,14 +97,12 @@ class EnvelopeContext:
         return bool(is_realized_by_sphere(self.desc, a, zeta, probe))
 
 
-def is_realizable_boundary_point(ctx: EnvelopeContext, a, density: int | None = None) -> bool:
+def is_realizable_boundary_point(ctx: EnvelopeContext, a) -> bool:
     """Whether some sampled unit normal at a boundary-of-interior point
     reaches the boundary radius there (existential over the sampled cone)."""
     a = as_vec(a, dim=ctx.desc.dim)
     if not ctx.desc.in_boundary_of_interior(a):
         raise GeometryError(f"{a.tolist()} is not on the boundary of the interior")
-    if density is not None and density != ctx.density:
-        ctx = EnvelopeContext(ctx.desc, ctx.radius_field, density, ctx.rho_max)
     return ctx.realizable_boundary_point(a)
 
 
@@ -270,16 +268,42 @@ def _pair_closest_3d(a1, d1, T1, a2, d2, T2, slack, tol):
     return None
 
 
+# Pairs of normal segments tested before the pair loop gives up.
+MAX_PAIRS = 20000
+
+
+def _normal_segments(desc, boundary_samples, density, seed, rho_max):
+    """The boundary sample and its normal segments, which do not depend on S.
+
+    Each sampled unit normal becomes a segment (base, direction, cap)
+    extended to ``_segment_cap``; caps at or below the membership tolerance
+    are skipped.
+    """
+    density = default_density(desc.dim) if density is None else density
+    rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
+    samples = desc.sample_boundary(boundary_samples, seed=seed)
+    segments = []
+    for a, _ in samples:
+        normals = sample_unit_normals(desc, a, density=density, rho_max=rho_max)
+        # Fat cones (isolated points see the whole direction grid) would
+        # swamp the pair loop; a deterministic stride keeps a spread.
+        if len(normals) > 40:
+            normals = normals[:: max(1, len(normals) // 40)]
+        for pn in normals:
+            cap = _segment_cap(desc, a, pn)
+            if cap > desc.membership_tol:
+                segments.append((a, pn.direction, cap))
+    return samples, segments
+
+
 def is_s_convex(
     desc: ClosedSetDesc,
     s_membership,
-    radius_field: RadiusField | None = None,
     boundary_samples: int = 120,
     density: int | None = None,
     seed: int = 0,
     rho_max: float | None = None,
-    ctx: EnvelopeContext | None = None,
-    max_pairs: int = 20000,
+    sample=None,
 ) -> SConvexityReport:
     """Sampled S-convexity falsifier.
 
@@ -290,13 +314,13 @@ def is_s_convex(
     of distinct components (a point of S outside the set with two projection
     clusters whose projection segments stay in S is a crossing of two normal
     segments).  Any confirmed crossing with distinct bases fails the check.
+
+    ``sample`` is a ``_normal_segments`` result to reuse across several S;
+    when given, ``boundary_samples``, ``density`` and ``rho_max`` are unused.
     """
-    density = default_density(desc.dim) if density is None else density
-    rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
-    if radius_field is None:
-        radius_field = RadiusField.constant(desc, INF)
-    if ctx is None:
-        ctx = EnvelopeContext(desc, radius_field, density, rho_max)
+    if sample is None:
+        sample = _normal_segments(desc, boundary_samples, density, seed, rho_max)
+    samples, segments = sample
     rng = np.random.default_rng(seed)
     notes: list[str] = []
 
@@ -305,27 +329,13 @@ def is_s_convex(
             notes.append("membership precheck: S does not contain a set probe")
             break
 
-    samples = desc.sample_boundary(boundary_samples, seed=seed)
-    segments = []
-    segment_recs: list[NormalSegmentRec] = []
-    for a, label in samples:
-        normals = sample_unit_normals(desc, a, density=density, rho_max=rho_max)
-        # Fat cones (isolated points see the whole direction grid) would
-        # swamp the pair loop; a deterministic stride keeps a spread.
-        if len(normals) > 40:
-            normals = normals[:: max(1, len(normals) // 40)]
-        for pn in normals:
-            cap = _segment_cap(desc, a, pn)
-            if cap <= desc.membership_tol:
-                continue
-            segments.append((a, pn.direction, cap, label))
-            if len(segment_recs) < 32:
-                segment_recs.append(
-                    NormalSegmentRec(
-                        as_tuple(a), as_tuple(pn.direction), float(cap),
-                        _segment_in_s(s_membership, a, a + cap * pn.direction, samples=9),
-                    )
-                )
+    segment_recs = [
+        NormalSegmentRec(
+            as_tuple(a), as_tuple(d), float(cap),
+            _segment_in_s(s_membership, a, a + cap * d, samples=9),
+        )
+        for a, d, cap in segments[:32]
+    ]
     base_tol = 1e-9 * desc.diameter
     hit_tol = 1e-9 * desc.diameter
     violations: list[SConvexityViolation] = []
@@ -343,13 +353,13 @@ def is_s_convex(
     for i in range(len(segments)):
         if violations:
             break
-        a1, d1, T1, lab1 = segments[i]
+        a1, d1, T1 = segments[i]
         for j in range(i + 1, len(segments)):
             pairs += 1
-            if pairs > max_pairs:
-                notes.append(f"pair budget {max_pairs} exhausted")
+            if pairs > MAX_PAIRS:
+                notes.append(f"pair budget {MAX_PAIRS} exhausted")
                 break
-            a2, d2, T2, lab2 = segments[j]
+            a2, d2, T2 = segments[j]
             slack = 1e-5 * (1.0 + max(T1, T2))
             if desc.dim == 2:
                 hit = _pair_intersection_2d(a1, d1, T1, a2, d2, T2, slack)
@@ -371,16 +381,15 @@ def is_s_convex(
         break
 
     if not violations:
-        violations.extend(
-            _equidistant_probe(desc, ctx, s_membership, samples, rng, notes)
-        )
+        violations.extend(_equidistant_probe(desc, s_membership, samples))
 
     verdict = "holds" if not violations else "fails"
     return SConvexityReport(verdict, violations, len(segments), pairs, seed, segment_recs, notes)
 
 
-def _equidistant_probe(desc, ctx, s_membership, samples, rng, notes, budget: int = 160):
-    """Find crossings through points equidistant from two components."""
+def _equidistant_probe(desc, s_membership, samples):
+    """Find crossings through points equidistant from two components, trying
+    at most 160 sample pairs."""
     by_label: dict[str, list[np.ndarray]] = {}
     for p, lab in samples:
         by_label.setdefault(lab, []).append(p)
@@ -394,7 +403,7 @@ def _equidistant_probe(desc, ctx, s_membership, samples, rng, notes, budget: int
             pool_i, pool_j = by_label[labels[ii]], by_label[labels[jj]]
             for p_i in pool_i[:8]:
                 for p_j in pool_j[:8]:
-                    if tried >= budget or out:
+                    if tried >= 160 or out:
                         return out
                     tried += 1
                     hit = _bisect_equidistant(desc, li, lj, p_i, p_j)
@@ -431,7 +440,7 @@ def _equidistant_probe(desc, ctx, s_membership, samples, rng, notes, budget: int
     return out
 
 
-def _bisect_equidistant(desc, leaf_i, leaf_j, p_i, p_j, iters: int = 80):
+def _bisect_equidistant(desc, leaf_i, leaf_j, p_i, p_j):
     def gap(p):
         P = p[None, :]
         return float(leaf_i.distance_many(P)[0] - leaf_j.distance_many(P)[0])
@@ -442,7 +451,7 @@ def _bisect_equidistant(desc, leaf_i, leaf_j, p_i, p_j, iters: int = 80):
     if g0 > 0.0 or g1 < 0.0 or g0 == g1:
         return None
     lo, hi = 0.0, 1.0
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         p = p_i + mid * (p_j - p_i)
         if gap(p) <= 0.0:
@@ -485,19 +494,19 @@ def check_boundary_projection_uniqueness(
     ctx: EnvelopeContext,
     rays: int = 80,
     seed: int = 0,
-    probes: int = 400,
 ) -> UniqueProjectionReport:
     """Every membership-boundary point of the capped envelope must project
     uniquely onto the set.
 
     Boundary points of the envelope are located by membership-flip bisection
-    along segments between member and non-member probes; only located points
-    that are themselves members enter the quantifier.
+    along segments between member and non-member probes (400 uniform probes
+    of the box); the bisection keeps its member end, so every located point
+    is a member and enters the quantifier unless it lies in the set.
     """
     desc = ctx.desc
     rng = np.random.default_rng(seed)
     lo, hi = desc.box
-    pool = rng.uniform(lo, hi, size=(probes, desc.dim))
+    pool = rng.uniform(lo, hi, size=(400, desc.dim))
     member_mask = np.asarray([in_capped_envelope(ctx, p) for p in pool])
     inside = pool[member_mask]
     outside = pool[~member_mask]
@@ -520,7 +529,7 @@ def check_boundary_projection_uniqueness(
                 b = mid
         x_star = a
         located += 1
-        if not in_capped_envelope(ctx, x_star) or desc.contains(x_star):
+        if desc.contains(x_star):
             continue
         proj = desc.project(x_star)
         if proj.multiplicity > 1:
@@ -546,11 +555,11 @@ class OpennessReport:
 def check_thin_margin_open(
     ctx: EnvelopeContext,
     samples: int = 60,
-    perturbations: int = 20,
     seed: int = 0,
 ) -> OpennessReport:
     """Sampled openness of the thin-margin set: around each member some
-    radius must keep all perturbations inside; vacuously open when empty."""
+    radius must keep 20 random perturbations inside; vacuously open when
+    empty."""
     desc = ctx.desc
     rng = np.random.default_rng(seed)
     try:
@@ -566,7 +575,7 @@ def check_thin_margin_open(
         eta = 0.05 * desc.diameter
         opened = False
         while eta >= eta_min and not opened:
-            raw = rng.normal(size=(perturbations, desc.dim))
+            raw = rng.normal(size=(20, desc.dim))
             dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
             if all(near_thin_boundary(ctx, x + eta * v) for v in dirs):
                 opened = True
@@ -615,16 +624,10 @@ def equivalence_harness(
         desc, radius_field, boundary_samples=boundary_samples, density=density,
         seed=seed, rho_max=rho_max,
     )
-    full = is_s_convex(
-        desc, lambda p: in_full_envelope(ctx, p), radius_field,
-        boundary_samples=min(boundary_samples, 60), density=density, seed=seed,
-        rho_max=rho_max, ctx=ctx,
-    )
-    capped = is_s_convex(
-        desc, lambda p: in_capped_envelope(ctx, p), radius_field,
-        boundary_samples=min(boundary_samples, 60), density=density, seed=seed,
-        rho_max=rho_max, ctx=ctx,
-    )
+    # One sample of normal segments serves both envelopes.
+    sample = _normal_segments(desc, min(boundary_samples, 60), density, seed, rho_max)
+    full = is_s_convex(desc, lambda p: in_full_envelope(ctx, p), seed=seed, sample=sample)
+    capped = is_s_convex(desc, lambda p: in_capped_envelope(ctx, p), seed=seed, sample=sample)
     uniq = check_boundary_projection_uniqueness(ctx, seed=seed)
     openness = check_thin_margin_open(ctx, seed=seed)
     v_i = condition.verdict

@@ -819,13 +819,11 @@ class GridOracle:
     formulas being tested.
     """
 
-    def __init__(self, desc: "ClosedSetDesc", resolution: float | None = None):
+    def __init__(self, desc: "ClosedSetDesc"):
         self.desc = desc
         lo, hi = desc.box
         dim = desc.dim
-        if resolution is None:
-            resolution = desc.diameter / (512.0 if dim == 2 else 128.0)
-        self.h = float(resolution)
+        self.h = desc.diameter / (512.0 if dim == 2 else 128.0)
         axes = [np.arange(lo[k], hi[k] + 0.5 * self.h, self.h) for k in range(dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -1062,7 +1060,6 @@ class ClosedSetDesc:
     def in_boundary_of_interior(
         self,
         a,
-        eps_schedule=None,
         method: str = "analytic",
         samples_per_eps: int = 1000,
         seed: int = 0,
@@ -1070,8 +1067,8 @@ class ClosedSetDesc:
         """Whether every ball around a meets the interior of the set.
 
         The analytic route tests membership in the CSG regularization
-        cl(int A); the sampling route draws points inside shrinking balls
-        and checks interior membership directly.
+        cl(int A); the sampling route draws points inside balls of radius
+        diameter * 2**-k, k = 3..12, and checks interior membership directly.
         """
         a = as_vec(a, dim=self.dim)
         if not self.on_boundary(a):
@@ -1081,10 +1078,8 @@ class ClosedSetDesc:
             return False if reg is None else reg.contains(a)
         if method != "sampling":
             raise GeometryError(f"unknown method {method!r}")
-        if eps_schedule is None:
-            eps_schedule = [self.diameter * (2.0 ** -k) for k in range(3, 13)]
         rng = np.random.default_rng(seed)
-        for eps in eps_schedule:
+        for eps in (self.diameter * (2.0 ** -k) for k in range(3, 13)):
             raw = rng.normal(size=(samples_per_eps, self.dim))
             dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
             radii = eps * rng.random(samples_per_eps) ** (1.0 / self.dim)
@@ -1153,16 +1148,15 @@ class ClosedSetDesc:
     def is_convex(self) -> bool:
         return self.root.convex
 
-    def validate(self, check_nonempty: bool = True, check_touching: bool = True, seed: int = 0):
+    def validate(self):
         """Scene-load validation: nonemptiness and no touching labeled components."""
-        if check_nonempty:
-            _ = self.oracle  # raises if the grid finds nothing
-        if check_touching and isinstance(self.root, Union) and len(self.root.children) > 1:
-            self._check_touching(seed)
+        _ = self.oracle  # raises if the grid finds nothing
+        if isinstance(self.root, Union) and len(self.root.children) > 1:
+            self._check_touching()
         return self
 
-    def _check_touching(self, seed: int):
-        rng = np.random.default_rng(seed)
+    def _check_touching(self):
+        rng = np.random.default_rng(0)
         tol = 10.0 * self.cluster_tol
         kids = self.root.children
         subs = [ClosedSetDesc(child, box=self.box, name="component") for child in kids]

@@ -1,7 +1,5 @@
 """Dimension-generic behavior: the same machinery in three dimensions."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -72,8 +70,8 @@ def test_directional_distance_hits_a_line_in_space():
 
 
 def test_sconvexity_in_space(ball3d):
-    desc, rf = ball3d
-    report = is_s_convex(desc, lambda p: True, rf, boundary_samples=30, density=300, seed=3, rho_max=40.0)
+    desc, _ = ball3d
+    report = is_s_convex(desc, lambda p: True, boundary_samples=30, density=300, seed=3, rho_max=40.0)
     assert report.verdict == "holds"
 
 
@@ -85,7 +83,6 @@ def test_touching_spheres_cross_in_space():
         ]),
         box=((-3.5, -2.5, -2.5), (3.5, 2.5, 2.5)),
     )
-    rf = RadiusField.constant(desc, math.inf)
-    report = is_s_convex(desc, lambda p: True, rf, boundary_samples=60, density=300, seed=3, rho_max=30.0)
+    report = is_s_convex(desc, lambda p: True, boundary_samples=60, density=300, seed=3, rho_max=30.0)
     assert report.verdict == "fails"
     assert abs(report.violations[0].point[0]) < 0.7

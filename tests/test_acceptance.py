@@ -266,7 +266,7 @@ def test_criterion_7_convexity_baseline():
     fix = make_ball("inf")
     with Timer("7 (convex baseline)", 10.0):
         report = is_s_convex(
-            fix.desc, lambda p: True, fix.rf, boundary_samples=60, seed=7, rho_max=50.0
+            fix.desc, lambda p: True, boundary_samples=60, seed=7, rho_max=50.0
         )
         assert report.verdict == "holds"
         cond = check_extended_condition(

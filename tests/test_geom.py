@@ -9,7 +9,6 @@ from extsphere.geom import (
     Ball,
     GeometryError,
     IntervalSet,
-    Segment,
     as_vec,
     ext_min,
     normalized,
@@ -117,16 +116,6 @@ class TestBallSegment:
             Ball((0, 0), 0.0)
         with pytest.raises(GeometryError):
             Ball((0, 0), math.inf)
-
-    def test_segment_sampling_respects_openness(self):
-        seg = Segment((0, 0), (1, 0), open_start=True, open_end=True)
-        pts = seg.sample(9)
-        assert np.all(pts[:, 0] > 0) and np.all(pts[:, 0] < 1)
-        assert seg.length == pytest.approx(1.0)
-
-    def test_segment_rejects_degenerate(self):
-        with pytest.raises(GeometryError):
-            Segment((1, 1), (1, 1))
 
 
 class TestIntervalSet:

@@ -82,11 +82,23 @@ INTERSECTION_CASES = {
 }
 
 
-def _digest(tmp_path, command, scene_path, extra=()):
+# Bundled JSON reports by (scene, command), kept from the digest tests so
+# that the verdict comparison below does not rerun them.
+_PAYLOADS = {}
+
+
+def _payload(tmp_path, command, scene_path, extra=()):
     out = tmp_path / "report.json"
     code = main([command, scene_path, *extra, "--json-report", str(out)])
     assert code in (0, 1), f"{command} exited {code}"
-    return json.loads(out.read_text())["digest"]
+    return json.loads(out.read_text())
+
+
+def _bundled_payload(tmp_path, name, command):
+    if (name, command) not in _PAYLOADS:
+        path = os.path.join(SCENES, f"{name}.scene")
+        _PAYLOADS[(name, command)] = _payload(tmp_path, command, path)
+    return _PAYLOADS[(name, command)]
 
 
 def _explain(name, command, actual, pinned):
@@ -102,8 +114,19 @@ def _explain(name, command, actual, pinned):
 )
 def test_bundled_digest(tmp_path, capsys, name, command):
     pinned = BUNDLED[name][COMMANDS.index(command)]
-    actual = _digest(tmp_path, command, os.path.join(SCENES, f"{name}.scene"))
+    actual = _bundled_payload(tmp_path, name, command)["digest"]
     assert actual == pinned, _explain(name, command, actual, pinned)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_report_verdicts_are_the_harness_verdicts(tmp_path, capsys, name):
+    report = _bundled_payload(tmp_path, name, "report")
+    harness = _bundled_payload(tmp_path, name, "harness")
+    verdicts = report["verdicts"]
+    assert verdicts["condition"] == harness["condition"]["verdict"] == harness["verdicts"]["i"]
+    for key in ("i", "ii", "iii", "iii_parts"):
+        assert verdicts[key] == harness["verdicts"][key], key
+    assert report["consistent"] == harness["consistent"]
 
 
 @pytest.mark.parametrize("name,command", sorted(INTERSECTION_CASES))
@@ -111,5 +134,5 @@ def test_intersection_digest(tmp_path, capsys, name, command):
     text, extra, pinned = INTERSECTION_CASES[(name, command)]
     path = tmp_path / f"{name}.scene"
     path.write_text(text)
-    actual = _digest(tmp_path, command, str(path), extra)
+    actual = _payload(tmp_path, command, str(path), extra)["digest"]
     assert actual == pinned, _explain(name, command, actual, pinned)

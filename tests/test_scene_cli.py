@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from extsphere import conditions, sconvex
 from extsphere.cli import main
 from extsphere.scene import SceneError, load_scene, parse_scene
 
@@ -210,6 +211,28 @@ class TestCli:
         assert payload["verdicts"]["condition"] == "holds"
         assert payload["consistent"] is True
         assert "digest" in payload
+
+    def test_report_checks_the_condition_once(self, tmp_path, capsys, monkeypatch):
+        # The condition line of report is the harness's condition check, run
+        # at the full sample count like the harness subcommand does.
+        runs = []
+        original = conditions.check_extended_condition
+
+        def recording(*args, **kwargs):
+            runs.append(original(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(conditions, "check_extended_condition", recording)
+        monkeypatch.setattr(sconvex, "check_extended_condition", recording)
+        out_json = tmp_path / "report.json"
+        code = main([
+            "report", scene_path("ball.scene"), "--samples", "130",
+            "--json-report", str(out_json),
+        ])
+        assert code == 0
+        assert [run.boundary_samples for run in runs] == [130]
+        payload = json.loads(out_json.read_text())
+        assert payload["verdicts"]["condition"] == runs[0].verdict == "holds"
 
     def test_scene_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.scene"

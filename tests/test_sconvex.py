@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from extsphere import sconvex
 from extsphere.proximal import RadiusField
 from extsphere.sconvex import (
     EnvelopeContext,
@@ -191,20 +192,20 @@ class TestReachZoneSegmentUnion:
 
 class TestSConvexity:
     def test_convex_ball_wholespace(self, ball):
-        report = is_s_convex(ball.desc, lambda p: True, ball.rf, boundary_samples=60, seed=3, rho_max=50.0)
+        report = is_s_convex(ball.desc, lambda p: True, boundary_samples=60, seed=3, rho_max=50.0)
         assert report.verdict == "holds"
 
     def test_lineplane_capped_envelope_convex(self, lineplane, lp_ctx):
         report = is_s_convex(
-            lineplane.desc, lambda p: in_capped_envelope(lp_ctx, p), lineplane.rf,
-            boundary_samples=40, seed=3, rho_max=100.0, ctx=lp_ctx,
+            lineplane.desc, lambda p: in_capped_envelope(lp_ctx, p),
+            boundary_samples=40, seed=3, rho_max=100.0,
         )
         assert report.verdict == "holds"
 
     def test_lineplane_full_envelope_not_convex(self, lineplane, lp_ctx):
         report = is_s_convex(
-            lineplane.desc, lambda p: in_full_envelope(lp_ctx, p), lineplane.rf,
-            boundary_samples=40, seed=3, rho_max=100.0, ctx=lp_ctx,
+            lineplane.desc, lambda p: in_full_envelope(lp_ctx, p),
+            boundary_samples=40, seed=3, rho_max=100.0,
         )
         assert report.verdict == "fails"
         v = report.violations[0]
@@ -216,8 +217,7 @@ class TestSConvexity:
             Union([ClosedBall((-1, 0), 1.0, label="left"), ClosedBall((1, 0), 1.0, label="right")]),
             box=((-3.5, -2.5), (3.5, 2.5)),
         )
-        rf = RadiusField.constant(touching, math.inf)
-        report = is_s_convex(touching, lambda p: True, rf, boundary_samples=60, seed=3, rho_max=40.0)
+        report = is_s_convex(touching, lambda p: True, boundary_samples=60, seed=3, rho_max=40.0)
         assert report.verdict == "fails"
         v = report.violations[0]
         s = np.asarray(v.point)
@@ -234,7 +234,7 @@ class TestSConvexity:
             n = np.array([math.cos(angle), math.sin(angle)])
             offset = rng.uniform(1.5, 3.0)
             s1 = lambda p, n=n, o=offset: float(np.asarray(p) @ n) <= o
-            report = is_s_convex(ball.desc, s1, ball.rf, boundary_samples=40, seed=3, rho_max=50.0)
+            report = is_s_convex(ball.desc, s1, boundary_samples=40, seed=3, rho_max=50.0)
             assert report.verdict == "holds"
 
 
@@ -343,3 +343,40 @@ class TestHarness:
         report = equivalence_harness(fix.desc, fix.rf, boundary_samples=30, seed=3, rho_max=50.0)
         assert all(report.verdicts[k] == "holds" for k in ("i", "ii", "iii"))
         assert report.consistent
+
+
+class TestEachPartRunsOnce:
+    """Counting wrappers: the harness samples the normal segments once for
+    both envelopes, and the uniqueness check asks each envelope question once."""
+
+    def test_harness_samples_the_boundary_twice(self, strip, monkeypatch):
+        # Once for the condition check, once for the normal segments that
+        # both envelope convexity checks share.
+        calls = []
+        original = ClosedSetDesc.sample_boundary
+
+        def counting(desc, count, seed=0):
+            calls.append(count)
+            return original(desc, count, seed=seed)
+
+        monkeypatch.setattr(ClosedSetDesc, "sample_boundary", counting)
+        report = equivalence_harness(
+            strip.desc, strip.rf, boundary_samples=40, density=180, seed=3, rho_max=100.0
+        )
+        assert report.consistent
+        assert calls == [40, 40]
+
+    def test_uniqueness_asks_the_envelope_once_per_probe_and_step(self, strip_ctx, monkeypatch):
+        # 400 probes of the box, then 60 bisection steps on each of 80 rays;
+        # the located endpoints are not asked again.
+        calls = []
+        original = sconvex.in_capped_envelope
+
+        def counting(ctx, x):
+            calls.append(1)
+            return original(ctx, x)
+
+        monkeypatch.setattr(sconvex, "in_capped_envelope", counting)
+        report = check_boundary_projection_uniqueness(strip_ctx, seed=7)
+        assert report.verdict == "holds"
+        assert len(calls) == 400 + 80 * 60 == 5200
