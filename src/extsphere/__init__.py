@@ -55,6 +55,7 @@ from .sconvex import (
     is_s_convex,
     near_thin_boundary,
     near_unrealizable_boundary,
+    normal_segments,
 )
 from .scene import Scene, SceneError, load_scene, parse_scene
 

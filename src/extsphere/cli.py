@@ -176,10 +176,8 @@ def _cmd_sconvex(scene: Scene, args, seed, samples, density, rho_max, deltas) ->
         "capped": lambda p: _sconvex.in_capped_envelope(ctx, p),
         "space": lambda p: True,
     }[args.envelope]
-    report = _sconvex.is_s_convex(
-        scene.desc, membership, boundary_samples=min(samples, 120), density=density,
-        seed=seed, rho_max=rho_max,
-    )
+    sample = _sconvex.normal_segments(scene.desc, samples, density, seed, rho_max)
+    report = _sconvex.is_s_convex(scene.desc, membership, sample, seed)
     lines = [
         f"sconvex[{args.envelope}]: {report.verdict} "
         f"({report.segments_tested} segments, {report.pairs_tested} pairs)"

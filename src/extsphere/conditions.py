@@ -130,13 +130,11 @@ def check_extended_condition(
     seed: int = 0,
     rho_max: float | None = None,
     force_forall: bool = False,
-    classification_override=None,
 ) -> ConditionReport:
     """Sampled check of the extended exterior sphere condition.
 
     Boundary-of-interior points use the EXISTS quantifier over the sampled
-    normal cone, all other boundary points the FORALL quantifier; a
-    classification override hook exists for quantifier tests.  FORALL
+    normal cone, all other boundary points the FORALL quantifier.  FORALL
     violations are confirmed against the proximal normal inequality before
     they enter the report, so sampling artifacts near the cone boundary
     cannot masquerade as certificates.
@@ -153,19 +151,16 @@ def check_extended_condition(
     any_marginal = False
     for a, label in samples:
         required = radius_field.value(a, (label,))
-        if classification_override is not None:
-            classification = classification_override(a, label)
-        else:
-            try:
-                classification = BDRY_INT if desc.in_boundary_of_interior(a) else NOT_BDRY_INT
-            except GeometryError:
-                records.append(
-                    BoundarySampleRecord(
-                        as_tuple(a), label, UNCLASSIFIED, "-", 0, required, (), False, False,
-                        note="classification failed; sample excluded",
-                    )
+        try:
+            classification = BDRY_INT if desc.in_boundary_of_interior(a) else NOT_BDRY_INT
+        except GeometryError:
+            records.append(
+                BoundarySampleRecord(
+                    as_tuple(a), label, UNCLASSIFIED, "-", 0, required, (), False, False,
+                    note="classification failed; sample excluded",
                 )
-                continue
+            )
+            continue
         quantifier = "forall" if (force_forall or classification == NOT_BDRY_INT) else "exists"
         rec = _check_sample(
             desc, a, label, classification, quantifier, required, density, rho_max, seed

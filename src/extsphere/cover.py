@@ -28,7 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import INF, Ball, ConstructionError, GeometryError, as_tuple, as_vec, norm, normalized, sphere_line_roots
+from .geom import (
+    INF, Ball, ConstructionError, GeometryError, as_tuple, as_vec, bisect, norm, normalized,
+    sphere_line_roots,
+)
 from .conditions import attaining_projection
 from .proximal import (
     RadiusField,
@@ -141,14 +144,7 @@ def boundary_crossing(desc: ClosedSetDesc, x, z_eps, a_x, eps: float) -> np.ndar
     lo = t1 + 1e-12 * (t2 - t1)
     if desc.contains(x + lo * xi):
         raise CrossingOutsideError("no exterior stretch inside the eps-sphere")
-    hi = t_z
-    tol = 1e-15 * (1.0 + t_z)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if desc.contains(x + mid * xi):
-            hi = mid
-        else:
-            lo = mid
+    _, hi = bisect(lambda t: not desc.contains(x + t * xi), lo, t_z, width=1e-15 * (1.0 + t_z))
     a_eps = x + hi * xi
     if not norm(a_eps - a_x) < eps:
         raise CrossingOutsideError("crossing escaped the eps-ball")

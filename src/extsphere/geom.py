@@ -144,6 +144,37 @@ def sphere_line_roots(x, xi, center, eps: float) -> tuple[float, float] | None:
     return (-half_b - root, -half_b + root)
 
 
+def bisect(keep_lo, lo, hi, steps: int | None = None, width: float | None = None):
+    """Halve the bracket [lo, hi] ``steps`` times, or until it is at most
+    ``width`` wide; returns the final (lo, hi).
+
+    ``keep_lo(mid)`` says whether the midpoint replaces lo (else it replaces
+    hi).  lo and hi are floats, two points (the segment between them is
+    halved; pass ``steps``), or arrays of brackets halved in lockstep, for
+    which ``keep_lo`` returns one flag per bracket and ``width`` bounds the
+    widest.  A single flag takes a plain branch, because numpy calls on
+    scalars would cost more per step than the scalar queries they bisect.
+    """
+    done = 0
+    while True:
+        if steps is not None:
+            if done == steps:
+                return lo, hi
+        else:
+            gap = hi - lo
+            if not (gap.max() if isinstance(gap, np.ndarray) else gap) > width:
+                return lo, hi
+        mid = 0.5 * (lo + hi)
+        keep = keep_lo(mid)
+        if isinstance(keep, np.ndarray):
+            lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
+        elif keep:
+            lo = mid
+        else:
+            hi = mid
+        done += 1
+
+
 def unit_direction_grid(dim: int, density: int) -> np.ndarray:
     """Deterministic unit-direction sweep: angular grid in 2D (includes the
     coordinate axes when density is a multiple of 4), Fibonacci sphere plus

@@ -20,7 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import INF, GeometryError, as_vec, ensure_ext_real, ext_min, norm, normalized, unit, unit_direction_grid
+from .geom import (
+    INF, GeometryError, as_vec, bisect, ensure_ext_real, ext_min, norm, normalized, unit,
+    unit_direction_grid,
+)
 from .sets import ClosedSetDesc, owning_leaves
 
 # Smallest sphere radius at which cone membership is probed.
@@ -394,12 +397,7 @@ def directional_distance_marched(
         return INF
     hi = float(ts[idx[0]])
     lo = float(ts[idx[0] - 1]) if idx[0] > 0 else 0.0
-    while hi - lo > polish_tol:
-        mid = 0.5 * (lo + hi)
-        if desc.contains(x + mid * zeta):
-            hi = mid
-        else:
-            lo = mid
+    _, hi = bisect(lambda t: not desc.contains(x + t * zeta), lo, hi, width=polish_tol)
     return hi
 
 
@@ -555,15 +553,12 @@ def _batch_realizations(desc, a, dirs, rho_max) -> np.ndarray:
     todo = ~at_cap
     if not np.any(todo):
         return out
-    lo = np.full(int(todo.sum()), RHO_MIN)
-    hi = np.full(int(todo.sum()), rho_max)
     sub = dirs[todo]
-    width_tol = _BISECT_REL_TOL * rho_max
-    while float(np.max(hi - lo)) > width_tol:
-        mid = 0.5 * (lo + hi)
-        ok = realization_margins(desc, a, sub, mid) >= -tol
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
+    lo, hi = bisect(
+        lambda mid: realization_margins(desc, a, sub, mid) >= -tol,
+        np.full(sub.shape[0], RHO_MIN), np.full(sub.shape[0], rho_max),
+        width=_BISECT_REL_TOL * rho_max,
+    )
     out[todo] = 0.5 * (lo + hi)
     return out
 

@@ -22,12 +22,13 @@ set), and reports whether the three verdicts agree.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import GeometryError, as_tuple, as_vec, norm, normalized
+from .geom import GeometryError, as_tuple, as_vec, bisect, norm, normalized
 from .conditions import ConditionReport, check_extended_condition
 from .proximal import (
     RadiusField,
@@ -191,14 +192,6 @@ def in_capped_envelope(ctx: EnvelopeContext, x) -> bool:
 
 
 @dataclass
-class NormalSegmentRec:
-    base: tuple
-    direction: tuple
-    length: float
-    in_s: bool
-
-
-@dataclass
 class SConvexityViolation:
     base_a: tuple
     dir_a: tuple
@@ -217,7 +210,6 @@ class SConvexityReport:
     segments_tested: int
     pairs_tested: int
     seed: int
-    segments: list = field(default_factory=list)  # sampled NormalSegmentRec head
     notes: list = field(default_factory=list)
 
 
@@ -229,12 +221,8 @@ def _segment_cap(desc, a, pn) -> float:
     return min(reach, first_hit, 4.0 * desc.diameter)
 
 
-def _segment_in_s(s_membership, a, endpoint, samples: int = 33) -> bool:
-    ts = np.linspace(0.0, 1.0, samples)
-    for t in ts:
-        if not s_membership(a + t * (endpoint - a)):
-            return False
-    return True
+def _segment_in_s(s_membership, a, endpoint) -> bool:
+    return all(s_membership(a + t * (endpoint - a)) for t in np.linspace(0.0, 1.0, 33))
 
 
 def _pair_intersection_2d(a1, d1, T1, a2, d2, T2, slack):
@@ -268,22 +256,30 @@ def _pair_closest_3d(a1, d1, T1, a2, d2, T2, slack, tol):
     return None
 
 
-# Pairs of normal segments tested before the pair loop gives up.
+# Boundary points in one S-convexity sample.
+SEGMENT_SAMPLES = 60
+# Pairs of normal segments with distinct bases tested before the pair loop
+# gives up.
 MAX_PAIRS = 20000
 
 
-def _normal_segments(desc, boundary_samples, density, seed, rho_max):
-    """The boundary sample and its normal segments, which do not depend on S.
+def normal_segments(desc, boundary_samples, density, seed, rho_max):
+    """The S-convexity sample, which does not depend on S: at most
+    ``SEGMENT_SAMPLES`` boundary points and their normal segments.
 
-    Each sampled unit normal becomes a segment (base, direction, cap)
-    extended to ``_segment_cap``; caps at or below the membership tolerance
-    are skipped.
+    A boundary sample whose coordinates equal an earlier one is skipped (its
+    cone and segments would be the same).  Each sampled unit normal becomes a
+    segment (base, direction, cap) extended to ``_segment_cap``; caps at or
+    below the membership tolerance are skipped.
     """
     density = default_density(desc.dim) if density is None else density
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
-    samples = desc.sample_boundary(boundary_samples, seed=seed)
-    segments = []
-    for a, _ in samples:
+    samples, segments, seen = [], [], set()
+    for a, label in desc.sample_boundary(min(boundary_samples, SEGMENT_SAMPLES), seed=seed):
+        if tuple(a) in seen:
+            continue
+        seen.add(tuple(a))
+        samples.append((a, label))
         normals = sample_unit_normals(desc, a, density=density, rho_max=rho_max)
         # Fat cones (isolated points see the whole direction grid) would
         # swamp the pair loop; a deterministic stride keeps a spread.
@@ -296,30 +292,18 @@ def _normal_segments(desc, boundary_samples, density, seed, rho_max):
     return samples, segments
 
 
-def is_s_convex(
-    desc: ClosedSetDesc,
-    s_membership,
-    boundary_samples: int = 120,
-    density: int | None = None,
-    seed: int = 0,
-    rho_max: float | None = None,
-    sample=None,
-) -> SConvexityReport:
-    """Sampled S-convexity falsifier.
+def is_s_convex(desc: ClosedSetDesc, s_membership, sample, seed: int) -> SConvexityReport:
+    """Sampled S-convexity falsifier over a ``normal_segments`` sample.
 
     Two detectors: exact pairwise intersection of sampled normal segments
-    (each extended to the smaller of its realization radius, its first return
-    to the boundary, and the scene scale, and required to stay inside S up to
-    the intersection), and equidistant-point probing between boundary samples
-    of distinct components (a point of S outside the set with two projection
-    clusters whose projection segments stay in S is a crossing of two normal
-    segments).  Any confirmed crossing with distinct bases fails the check.
-
-    ``sample`` is a ``_normal_segments`` result to reuse across several S;
-    when given, ``boundary_samples``, ``density`` and ``rho_max`` are unused.
+    with distinct bases (each extended to the smaller of its realization
+    radius, its first return to the boundary, and the scene scale, and
+    required to stay inside S up to the intersection), and equidistant-point
+    probing between boundary samples of distinct components (a point of S
+    outside the set with two projection clusters whose projection segments
+    stay in S is a crossing of two normal segments).  Any confirmed crossing
+    fails the check.
     """
-    if sample is None:
-        sample = _normal_segments(desc, boundary_samples, density, seed, rho_max)
     samples, segments = sample
     rng = np.random.default_rng(seed)
     notes: list[str] = []
@@ -329,21 +313,12 @@ def is_s_convex(
             notes.append("membership precheck: S does not contain a set probe")
             break
 
-    segment_recs = [
-        NormalSegmentRec(
-            as_tuple(a), as_tuple(d), float(cap),
-            _segment_in_s(s_membership, a, a + cap * d, samples=9),
-        )
-        for a, d, cap in segments[:32]
-    ]
     base_tol = 1e-9 * desc.diameter
     hit_tol = 1e-9 * desc.diameter
     violations: list[SConvexityViolation] = []
     pairs = 0
 
-    def confirm(a1, d1, t, a2, d2, s, point) -> bool:
-        if norm(a1 - a2) <= base_tol:
-            return False
+    def confirm(a1, a2, point) -> bool:
         if desc.contains(point):
             return False
         if not s_membership(point):
@@ -355,11 +330,13 @@ def is_s_convex(
             break
         a1, d1, T1 = segments[i]
         for j in range(i + 1, len(segments)):
-            pairs += 1
-            if pairs > MAX_PAIRS:
+            a2, d2, T2 = segments[j]
+            if norm(a1 - a2) <= base_tol:
+                continue
+            if pairs == MAX_PAIRS:
                 notes.append(f"pair budget {MAX_PAIRS} exhausted")
                 break
-            a2, d2, T2 = segments[j]
+            pairs += 1
             slack = 1e-5 * (1.0 + max(T1, T2))
             if desc.dim == 2:
                 hit = _pair_intersection_2d(a1, d1, T1, a2, d2, T2, slack)
@@ -368,7 +345,7 @@ def is_s_convex(
             if hit is None:
                 continue
             t, s, point = hit
-            if confirm(a1, d1, t, a2, d2, s, point):
+            if confirm(a1, a2, point):
                 violations.append(
                     SConvexityViolation(
                         as_tuple(a1), as_tuple(d1), float(t), as_tuple(a2), as_tuple(d2), float(s),
@@ -384,7 +361,7 @@ def is_s_convex(
         violations.extend(_equidistant_probe(desc, s_membership, samples))
 
     verdict = "holds" if not violations else "fails"
-    return SConvexityReport(verdict, violations, len(segments), pairs, seed, segment_recs, notes)
+    return SConvexityReport(verdict, violations, len(segments), pairs, seed, notes)
 
 
 def _equidistant_probe(desc, s_membership, samples):
@@ -450,14 +427,7 @@ def _bisect_equidistant(desc, leaf_i, leaf_j, p_i, p_j):
         return None
     if g0 > 0.0 or g1 < 0.0 or g0 == g1:
         return None
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        p = p_i + mid * (p_j - p_i)
-        if gap(p) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda t: gap(p_i + t * (p_j - p_i)) <= 0.0, 0.0, 1.0, steps=80)
     s_pt = p_i + 0.5 * (lo + hi) * (p_j - p_i)
     P = s_pt[None, :]
     d_i = float(leaf_i.distance_many(P)[0])
@@ -517,17 +487,10 @@ def check_boundary_projection_uniqueness(
         )
     violations: list[UniqueProjectionViolation] = []
     located = 0
-    for k in range(rays):
+    for _ in range(rays):
         p_in = inside[int(rng.integers(inside.shape[0]))]
         p_out = outside[int(rng.integers(outside.shape[0]))]
-        a, b = p_in, p_out
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if in_capped_envelope(ctx, mid):
-                a = mid
-            else:
-                b = mid
-        x_star = a
+        x_star, _ = bisect(lambda p: in_capped_envelope(ctx, p), p_in, p_out, steps=60)
         located += 1
         if desc.contains(x_star):
             continue
@@ -566,7 +529,7 @@ def check_thin_margin_open(
         pool = desc.sample_exterior(8 * samples, seed=seed)
     except SetError:  # complement nearly empty
         return OpennessReport("holds", 0, [], seed, ["no exterior probes available"])
-    members = [p for p in pool if near_thin_boundary(ctx, p)][:samples]
+    members = list(itertools.islice((p for p in pool if near_thin_boundary(ctx, p)), samples))
     if not members:
         return OpennessReport("holds", 0, [], seed, ["thin-margin set empty on probes; vacuously open"])
     eta_min = 1e-6 * desc.diameter
@@ -625,9 +588,9 @@ def equivalence_harness(
         seed=seed, rho_max=rho_max,
     )
     # One sample of normal segments serves both envelopes.
-    sample = _normal_segments(desc, min(boundary_samples, 60), density, seed, rho_max)
-    full = is_s_convex(desc, lambda p: in_full_envelope(ctx, p), seed=seed, sample=sample)
-    capped = is_s_convex(desc, lambda p: in_capped_envelope(ctx, p), seed=seed, sample=sample)
+    sample = normal_segments(desc, boundary_samples, density, seed, rho_max)
+    full = is_s_convex(desc, lambda p: in_full_envelope(ctx, p), sample, seed)
+    capped = is_s_convex(desc, lambda p: in_capped_envelope(ctx, p), sample, seed)
     uniq = check_boundary_projection_uniqueness(ctx, seed=seed)
     openness = check_thin_margin_open(ctx, seed=seed)
     v_i = condition.verdict

@@ -12,7 +12,7 @@ from extsphere.proximal import (
     realization_radius,
     sample_unit_normals,
 )
-from extsphere.sconvex import is_s_convex
+from extsphere.sconvex import is_s_convex, normal_segments
 from extsphere.sets import AffineSubspace, ClosedBall, ClosedSetDesc, HalfSpace, Union
 
 
@@ -71,7 +71,7 @@ def test_directional_distance_hits_a_line_in_space():
 
 def test_sconvexity_in_space(ball3d):
     desc, _ = ball3d
-    report = is_s_convex(desc, lambda p: True, boundary_samples=30, density=300, seed=3, rho_max=40.0)
+    report = is_s_convex(desc, lambda p: True, normal_segments(desc, 30, 300, 3, 40.0), 3)
     assert report.verdict == "holds"
 
 
@@ -83,6 +83,6 @@ def test_touching_spheres_cross_in_space():
         ]),
         box=((-3.5, -2.5, -2.5), (3.5, 2.5, 2.5)),
     )
-    report = is_s_convex(desc, lambda p: True, boundary_samples=60, density=300, seed=3, rho_max=30.0)
+    report = is_s_convex(desc, lambda p: True, normal_segments(desc, 60, 300, 3, 30.0), 3)
     assert report.verdict == "fails"
     assert abs(report.violations[0].point[0]) < 0.7

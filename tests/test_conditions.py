@@ -86,22 +86,12 @@ class TestCheckExtendedCondition:
         rf = RadiusField.from_sources({"hx": 2.1, "hy": 2.1, "bump": 0.5})
         corner = np.array([0.0, 0.0])
 
-        def classify_as_interior_boundary(a, label):
-            return "bdry-int"
-
-        def classify_as_other(a, label):
-            return "not-bdry-int"
-
         desc.sample_boundary = lambda count, seed=0: [(corner, "hx")]
-        exists_report = check_extended_condition(
-            desc, rf, boundary_samples=1, seed=0, rho_max=60.0,
-            classification_override=classify_as_interior_boundary,
-        )
+        desc.in_boundary_of_interior = lambda a: True
+        exists_report = check_extended_condition(desc, rf, boundary_samples=1, seed=0, rho_max=60.0)
         assert exists_report.verdict == "holds"
-        forall_report = check_extended_condition(
-            desc, rf, boundary_samples=1, seed=0, rho_max=60.0,
-            classification_override=classify_as_other,
-        )
+        desc.in_boundary_of_interior = lambda a: False
+        forall_report = check_extended_condition(desc, rf, boundary_samples=1, seed=0, rho_max=60.0)
         assert forall_report.verdict == "fails"
 
     def test_monotone_in_radius_field(self, strip, ball):

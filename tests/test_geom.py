@@ -10,6 +10,7 @@ from extsphere.geom import (
     GeometryError,
     IntervalSet,
     as_vec,
+    bisect,
     ext_min,
     normalized,
     sphere_line_roots,
@@ -134,3 +135,26 @@ class TestIntervalSet:
     def test_straddling_interval_reports_floor(self):
         spans = IntervalSet([(0.0, 3.0)])
         assert spans.first_entry_after(1e-9) == 1e-9
+
+
+class TestBisect:
+    def test_float_bracket_halves_to_width(self):
+        lo, hi = bisect(lambda t: t * t <= 2.0, 0.0, 2.0, width=1e-12)
+        assert float(lo) <= math.sqrt(2.0) <= float(hi)
+        assert float(hi - lo) <= 1e-12
+        # Three halvings of [0, 1] towards a flip beyond 1.
+        lo, hi = bisect(lambda t: True, 0.0, 1.0, steps=3)
+        assert (float(lo), float(hi)) == (0.875, 1.0)
+
+    def test_point_pair_halves_the_segment(self):
+        inside, outside = bisect(
+            lambda p: np.linalg.norm(p) <= 1.0, np.zeros(2), np.array([3.0, 4.0]), steps=60
+        )
+        assert np.linalg.norm(inside) <= 1.0 < np.linalg.norm(outside)
+        assert np.allclose(inside, [0.6, 0.8], atol=1e-12)
+
+    def test_lockstep_brackets_flip_at_their_own_roots(self):
+        roots = np.array([0.25, 0.5, 3.0])
+        lo, hi = bisect(lambda t: t <= roots, np.zeros(3), np.full(3, 4.0), width=1e-9)
+        assert np.all(lo <= roots) and np.all(roots <= hi)
+        assert float(np.max(hi - lo)) <= 1e-9

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from extsphere.cli import main
+from extsphere.scene import load_scene
+from extsphere.sconvex import normal_segments
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
@@ -127,6 +129,36 @@ def test_report_verdicts_are_the_harness_verdicts(tmp_path, capsys, name):
     for key in ("i", "ii", "iii", "iii_parts"):
         assert verdicts[key] == harness["verdicts"][key], key
     assert report["consistent"] == harness["consistent"]
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_sconvex_runs_on_the_harness_sample(tmp_path, capsys, name):
+    # `extsphere sconvex` (full envelope by default) and the harness's
+    # verdict ii test one normal-segment sample with one falsifier.
+    payload = _bundled_payload(tmp_path, name, "sconvex")
+    harness = _bundled_payload(tmp_path, name, "harness")
+    assert payload["verdict"] == harness["verdicts"]["ii"]
+    scene = load_scene(os.path.join(SCENES, f"{name}.scene"))
+    spec = scene.samples
+    _, segments = normal_segments(
+        scene.desc, spec.boundary_samples, spec.density, spec.seed, spec.rho_max
+    )
+    assert payload["report"]["segments_tested"] == len(segments)
+
+
+def test_capped_sconvex_is_the_capped_convexity_part(tmp_path, capsys):
+    path = os.path.join(SCENES, "lineplane.scene")
+    capped = _payload(tmp_path, "sconvex", path, ["--envelope", "capped"])
+    harness = _bundled_payload(tmp_path, "lineplane", "harness")
+    assert capped["verdict"] == harness["verdicts"]["iii_parts"]["capped_convexity"] == "holds"
+
+
+def test_pointset_sconvex_tests_no_pair_on_one_base(tmp_path, capsys):
+    # The point is sampled once, its full cone strided to 40 normals; all
+    # 40 segments share the one base, so no pair is tested.
+    report = _bundled_payload(tmp_path, "pointset", "sconvex")["report"]
+    assert (report["segments_tested"], report["pairs_tested"]) == (40, 0)
+    assert not any("pair budget" in note for note in report["notes"])
 
 
 @pytest.mark.parametrize("name,command", sorted(INTERSECTION_CASES))

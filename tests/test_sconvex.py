@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from extsphere import sconvex
+from extsphere.cli import main
 from extsphere.proximal import RadiusField
 from extsphere.sconvex import (
     EnvelopeContext,
@@ -18,10 +20,13 @@ from extsphere.sconvex import (
     is_s_convex,
     near_thin_boundary,
     near_unrealizable_boundary,
+    normal_segments,
 )
 from extsphere.sets import ClosedBall, ClosedSetDesc, HalfSpace, Union
 
 from conftest import make_ball
+
+SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
 
 @pytest.fixture(scope="module")
@@ -192,20 +197,20 @@ class TestReachZoneSegmentUnion:
 
 class TestSConvexity:
     def test_convex_ball_wholespace(self, ball):
-        report = is_s_convex(ball.desc, lambda p: True, boundary_samples=60, seed=3, rho_max=50.0)
+        report = is_s_convex(ball.desc, lambda p: True, normal_segments(ball.desc, 60, None, 3, 50.0), 3)
         assert report.verdict == "holds"
 
     def test_lineplane_capped_envelope_convex(self, lineplane, lp_ctx):
         report = is_s_convex(
             lineplane.desc, lambda p: in_capped_envelope(lp_ctx, p),
-            boundary_samples=40, seed=3, rho_max=100.0,
+            normal_segments(lineplane.desc, 40, None, 3, 100.0), 3,
         )
         assert report.verdict == "holds"
 
     def test_lineplane_full_envelope_not_convex(self, lineplane, lp_ctx):
         report = is_s_convex(
             lineplane.desc, lambda p: in_full_envelope(lp_ctx, p),
-            boundary_samples=40, seed=3, rho_max=100.0,
+            normal_segments(lineplane.desc, 40, None, 3, 100.0), 3,
         )
         assert report.verdict == "fails"
         v = report.violations[0]
@@ -217,7 +222,7 @@ class TestSConvexity:
             Union([ClosedBall((-1, 0), 1.0, label="left"), ClosedBall((1, 0), 1.0, label="right")]),
             box=((-3.5, -2.5), (3.5, 2.5)),
         )
-        report = is_s_convex(touching, lambda p: True, boundary_samples=60, seed=3, rho_max=40.0)
+        report = is_s_convex(touching, lambda p: True, normal_segments(touching, 60, None, 3, 40.0), 3)
         assert report.verdict == "fails"
         v = report.violations[0]
         s = np.asarray(v.point)
@@ -229,12 +234,13 @@ class TestSConvexity:
         # Convexity for S survives any smaller S1 between the set and S:
         # shrink the whole space by random half-planes around the ball.
         rng = np.random.default_rng(9)
+        sample = normal_segments(ball.desc, 40, None, 3, 50.0)
         for _ in range(5):
             angle = rng.uniform(0, 2 * math.pi)
             n = np.array([math.cos(angle), math.sin(angle)])
             offset = rng.uniform(1.5, 3.0)
             s1 = lambda p, n=n, o=offset: float(np.asarray(p) @ n) <= o
-            report = is_s_convex(ball.desc, s1, boundary_samples=40, seed=3, rho_max=50.0)
+            report = is_s_convex(ball.desc, s1, sample, 3)
             assert report.verdict == "holds"
 
 
@@ -347,7 +353,8 @@ class TestHarness:
 
 class TestEachPartRunsOnce:
     """Counting wrappers: the harness samples the normal segments once for
-    both envelopes, and the uniqueness check asks each envelope question once."""
+    both envelopes, the uniqueness check asks each envelope question once,
+    and no check asks questions whose answers nothing reads."""
 
     def test_harness_samples_the_boundary_twice(self, strip, monkeypatch):
         # Once for the condition check, once for the normal segments that
@@ -380,3 +387,39 @@ class TestEachPartRunsOnce:
         report = check_boundary_projection_uniqueness(strip_ctx, seed=7)
         assert report.verdict == "holds"
         assert len(calls) == 400 + 80 * 60 == 5200
+
+    def test_report_asks_the_envelope_only_for_the_checks(self, capsys, monkeypatch):
+        # halfplane at its own parameters: the 32-probe membership precheck
+        # of each envelope and the 400 uniqueness probes, which all lie in
+        # the capped envelope, so no ray is bisected.  No pair of segments
+        # crosses and the scene has one component, so nothing else is asked.
+        calls = []
+        original = sconvex.in_envelope
+
+        def counting(ctx, x, capped=False):
+            calls.append(capped)
+            return original(ctx, x, capped)
+
+        monkeypatch.setattr(sconvex, "in_envelope", counting)
+        assert main(["report", os.path.join(SCENES, "halfplane.scene")]) == 0
+        assert len(calls) == 32 + 32 + 400 == 464
+
+    def test_openness_classifies_the_pool_up_to_the_last_member(self, lp_ctx, monkeypatch):
+        # The pool holds 8 x samples exterior points; classification stops
+        # once `samples` members are found.
+        pool = lp_ctx.desc.sample_exterior(8 * 10, seed=7)
+        members = [k for k, p in enumerate(pool) if near_thin_boundary(lp_ctx, p)]
+        assert len(members) > 10
+        pool_keys = {tuple(p) for p in pool}
+        classified = []
+        original = sconvex.near_thin_boundary
+
+        def counting(ctx, x):
+            if tuple(x) in pool_keys:
+                classified.append(tuple(x))
+            return original(ctx, x)
+
+        monkeypatch.setattr(sconvex, "near_thin_boundary", counting)
+        report = check_thin_margin_open(lp_ctx, samples=10, seed=7)
+        assert report.tested == 10
+        assert len(classified) == members[9] + 1 < len(pool)
