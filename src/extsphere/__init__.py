@@ -23,7 +23,7 @@ from .sets import (
     Union,
 )
 from .proximal import (
-    ProxNormal,
+    Cone,
     RadiusField,
     capped_realization_radius,
     directional_distance,

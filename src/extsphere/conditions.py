@@ -180,8 +180,8 @@ def check_extended_condition(
 
 
 def _check_sample(desc, a, label, classification, quantifier, required, density, rho_max, seed):
-    normals = sample_unit_normals(desc, a, density=density, rho_max=rho_max)
-    if not normals:
+    cone = sample_unit_normals(desc, a, density=density, rho_max=rho_max)
+    if not cone:
         if quantifier == "exists":
             cert = ViolationCertificate(as_tuple(a), (), 0.0, required, -INF, kind="no-normal-found")
             return BoundarySampleRecord(
@@ -192,30 +192,30 @@ def _check_sample(desc, a, label, classification, quantifier, required, density,
             as_tuple(a), label, classification, quantifier, 0, required, (), True, False,
             note="empty sampled cone; forall holds vacuously",
         )
-    dirs = np.asarray([n.direction for n in normals])
+    dirs = cone.directions
     rho_test = min(required, rho_max) if math.isfinite(required) else rho_max
     margins = realization_margins(desc, a, dirs, rho_test)
     ok_mask = margins >= -desc.realize_tol
     marginal_mask = (~ok_mask) & (margins >= -desc.ball_tol)
-    reals = tuple(round(n.realization, 12) for n in normals)
+    reals = tuple(round(r, 12) for r in cone.realizations.tolist())
 
     if quantifier == "exists":
         if bool(np.any(ok_mask)):
             return BoundarySampleRecord(
-                as_tuple(a), label, classification, quantifier, len(normals), required, reals,
+                as_tuple(a), label, classification, quantifier, len(cone), required, reals,
                 True, False,
             )
         if bool(np.any(marginal_mask)):
             return BoundarySampleRecord(
-                as_tuple(a), label, classification, quantifier, len(normals), required, reals,
+                as_tuple(a), label, classification, quantifier, len(cone), required, reals,
                 False, True, note="best realization within the marginal band",
             )
         best = int(np.argmax(margins))
         cert = ViolationCertificate(
-            as_tuple(a), as_tuple(dirs[best]), normals[best].realization, required, float(margins[best])
+            as_tuple(a), as_tuple(dirs[best]), float(cone.realizations[best]), required, float(margins[best])
         )
         return BoundarySampleRecord(
-            as_tuple(a), label, classification, quantifier, len(normals), required, reals,
+            as_tuple(a), label, classification, quantifier, len(cone), required, reals,
             False, False, cert,
         )
 
@@ -223,24 +223,24 @@ def _check_sample(desc, a, label, classification, quantifier, required, density,
     bad = np.nonzero(~ok_mask & ~marginal_mask)[0]
     for idx in bad:
         zeta = dirs[idx]
-        claimed = normals[idx].realization
+        claimed = float(cone.realizations[idx])
         sigma = 1.0 / (2.0 * max(claimed if math.isfinite(claimed) else rho_max, RHO_MIN))
         if is_proximal_normal(desc, a, zeta, sigma, seed=seed):
             cert = ViolationCertificate(
                 as_tuple(a), as_tuple(zeta), claimed, required, float(margins[idx])
             )
             return BoundarySampleRecord(
-                as_tuple(a), label, classification, quantifier, len(normals), required, reals,
+                as_tuple(a), label, classification, quantifier, len(cone), required, reals,
                 False, False, cert,
             )
     if bool(np.any(marginal_mask)):
         return BoundarySampleRecord(
-            as_tuple(a), label, classification, quantifier, len(normals), required, reals,
+            as_tuple(a), label, classification, quantifier, len(cone), required, reals,
             False, True, note="some realization within the marginal band",
         )
     note = "" if bad.size == 0 else "unconfirmed sampling artifacts dropped"
     return BoundarySampleRecord(
-        as_tuple(a), label, classification, quantifier, len(normals), required, reals,
+        as_tuple(a), label, classification, quantifier, len(cone), required, reals,
         True, False, note=note,
     )
 

@@ -200,14 +200,14 @@ def _epsilon_loop(desc, radius_field, x, a_x, rho_x, target, density, rho_max, s
         if pick is None:
             note = "empty sampled cone at the crossing point"
             continue
-        rho_star = min(pick.realization, r_eff)
+        rho_star = min(float(cone.realizations[pick]), r_eff)
         if not rho_star > half:
             note = (
                 f"realized radius {rho_star:.6g} at the crossing did not clear "
                 f"half the target {half:.6g}"
             )
             continue
-        y_eps = a_eps + rho_star * pick.direction
+        y_eps = a_eps + rho_star * cone.directions[pick]
         separation = norm(y_eps - x)
         inter = {
             "a_x": as_tuple(a_x),

@@ -15,8 +15,9 @@ inequality itself.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,13 +224,17 @@ class RealizationCheck:
         return self.ok
 
 
-@dataclass
-class ProxNormal:
-    """A unit proximal normal with its realization radius."""
+@dataclass(frozen=True)
+class Cone:
+    """A sampled unit proximal normal cone at one base point: one unit
+    direction per row of ``directions`` (k, d) and its realization radius in
+    ``realizations`` (k,).  ``len`` is the cone size k."""
 
-    base: np.ndarray
-    direction: np.ndarray
-    realization: float
+    directions: np.ndarray
+    realizations: np.ndarray
+
+    def __len__(self) -> int:
+        return self.directions.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +244,8 @@ class ProxNormal:
 
 def realization_margins(desc: ClosedSetDesc, a: np.ndarray, dirs: np.ndarray, rhos) -> np.ndarray:
     """distance(set, a + rho*dir) - rho for each direction (vectorized)."""
-    rhos = np.broadcast_to(np.asarray(rhos, dtype=float), (dirs.shape[0],))
-    centers = a[None, :] + rhos[:, None] * dirs
-    return desc.distance_many(centers) - rhos
+    rhos = np.asarray(rhos, dtype=float)
+    return desc.distance_many(a + rhos[..., None] * dirs) - rhos
 
 
 def is_realized_by_sphere(desc: ClosedSetDesc, a, zeta, rho: float, tol: float | None = None) -> RealizationCheck:
@@ -469,6 +473,17 @@ def _refine_direction(desc: ClosedSetDesc, a, dir0: np.ndarray, rho: float, span
     return best
 
 
+@functools.cache
+def _direction_grid(dim: int, density: int) -> tuple[np.ndarray, frozenset]:
+    """The direction grid of a (dim, density) sweep with its 9-digit row keys,
+    built once; rows repeating an earlier one at 9 digits are dropped."""
+    grid = unit_direction_grid(dim, density)
+    _, keep = np.unique(np.round(grid, 9), axis=0, return_index=True)
+    grid = grid[np.sort(keep)]
+    grid.flags.writeable = False
+    return grid, frozenset(map(tuple, np.round(grid, 9).tolist()))
+
+
 def sample_unit_normals(
     desc: ClosedSetDesc,
     a,
@@ -476,71 +491,61 @@ def sample_unit_normals(
     rho_max: float | None = None,
     extra_directions=None,
     with_realizations: bool = True,
-) -> list[ProxNormal]:
+) -> Cone:
     """Sampled unit proximal normal cone at a boundary point.
 
     Sweeps a deterministic direction grid augmented with the analytic normal
-    candidates of the leaves owning the point, keeps directions whose
-    RHO_MIN tangent sphere misses the set (the proximal inequality at
-    sigma = 1/(2 RHO_MIN)), and attaches realization radii.  May be empty:
-    the cone can be trivial, and every verdict downstream is explicitly "at
-    tested density".
+    candidates of the leaves owning the point and the extra directions
+    (each dropped when it equals a grid row or an earlier candidate at 9
+    digits), keeps directions whose RHO_MIN tangent sphere misses the set
+    (the proximal inequality at sigma = 1/(2 RHO_MIN)), and attaches
+    realization radii (NaN without ``with_realizations``).  Returns a
+    ``Cone``; it may be empty: the cone can be trivial, and every verdict
+    downstream is explicitly "at tested density".
     """
     a = as_vec(a, dim=desc.dim)
     if not desc.on_boundary(a):
         raise GeometryError(f"point {a.tolist()} is not on the set boundary")
     density = default_density(desc.dim) if density is None else density
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
-    dirs = [unit_direction_grid(desc.dim, density)]
-    for leaf in owning_leaves(desc.leaves, a, desc.cluster_tol):
-        cand = leaf.normal_directions(a)
-        if cand:
-            dirs.append(np.asarray(cand))
-    if extra_directions is not None and len(extra_directions):
-        dirs.append(np.asarray([normalized(d) for d in extra_directions]))
-    all_dirs = np.concatenate(dirs, axis=0)
-    # Deduplicate (grid may repeat analytic candidates exactly).
-    _, keep = np.unique(np.round(all_dirs, 9), axis=0, return_index=True)
-    all_dirs = all_dirs[np.sort(keep)]
+    grid, grid_keys = _direction_grid(desc.dim, density)
+    owners = owning_leaves(desc.leaves, a, desc.cluster_tol)
+    cand = [d for leaf in owners for d in leaf.normal_directions(a)]
+    if extra_directions is not None:
+        cand.extend(normalized(d) for d in extra_directions)
+    fresh = {}
+    for d in cand:
+        fresh.setdefault(tuple(np.round(d, 9).tolist()), d)
+    extra = [d for key, d in fresh.items() if key not in grid_keys]
+    all_dirs = np.concatenate([grid, np.asarray(extra)]) if extra else grid
     tol = cone_filter_tol(desc, density, RHO_MIN)
     margins = realization_margins(desc, a, all_dirs, RHO_MIN)
-    passed = margins >= -tol
+    passed = np.flatnonzero(margins >= -tol)
     # Directions inside the tolerance shadow (realized only up to tol, not up
     # to float noise) are angular neighbors of a true normal; refine them to
     # the local margin maximum so duplicates collapse onto the exact one.
     noise = desc.margin_noise
     theta = 2.0 * math.pi / density
-    refined = []
-    for d, m, ok in zip(all_dirs, margins, passed):
-        if not ok:
-            continue
-        was_refined = False
-        if m < -noise:
-            d = _refine_direction(desc, a, d, RHO_MIN, span=theta)
-            m = float(realization_margins(desc, a, d[None, :], RHO_MIN)[0])
-            if m < -noise:
-                continue
-            was_refined = True
-        refined.append((was_refined, m, d))
-    if not refined:
-        return []
+    exact = passed[margins[passed] >= -noise]
+    stalled = []
+    for i in passed[margins[passed] < -noise]:
+        d = _refine_direction(desc, a, all_dirs[i], RHO_MIN, span=theta)
+        m = float(realization_margins(desc, a, d[None, :], RHO_MIN)[0])
+        if m >= -noise:
+            stalled.append((m, d))
     # Angular dedupe with exact (unrefined) directions taking precedence:
     # refinements that stalled in float noise a hair away from an exact
     # normal collapse onto it rather than displacing it.  Exact directions
     # are already distinct, so only refined ones need the merge test.
     merge_cos = math.cos(2e-4)
-    exact = [d for flag, _, d in refined if not flag]
-    stalled = [(m, d) for flag, m, d in refined if flag]
-    kept = list(exact)
-    if stalled:
-        for _, d in sorted(stalled, key=lambda t: (-t[0], tuple(t[1]))):
-            if not kept or float(np.max(np.asarray(kept) @ d)) < merge_cos:
-                kept.append(d)
-    cone = np.asarray(kept)
-    if not with_realizations:
-        return [ProxNormal(a.copy(), d.copy(), math.nan) for d in cone]
-    reals = _batch_realizations(desc, a, cone, rho_max)
-    return [ProxNormal(a.copy(), d.copy(), float(r)) for d, r in zip(cone, reals)]
+    kept = list(all_dirs[exact])
+    for _, d in sorted(stalled, key=lambda t: (-t[0], tuple(t[1]))):
+        if not kept or float(np.max(np.asarray(kept) @ d)) < merge_cos:
+            kept.append(d)
+    directions = np.asarray(kept).reshape(-1, desc.dim)
+    if with_realizations and kept:
+        return Cone(directions, _batch_realizations(desc, a, directions, rho_max))
+    return Cone(directions, np.full(len(kept), math.nan))
 
 
 def _batch_realizations(desc, a, dirs, rho_max) -> np.ndarray:
@@ -563,16 +568,14 @@ def _batch_realizations(desc, a, dirs, rho_max) -> np.ndarray:
     return out
 
 
-def best_normal(normals: list[ProxNormal], reference=None) -> ProxNormal | None:
-    """The sampled normal with maximal realization; ties break toward the
-    smallest angle against the reference direction, then lexicographically."""
-    if not normals:
-        return None
+def best_normal(cone: Cone, reference=None) -> int | None:
+    """Row of the sampled normal with maximal realization; ties break toward
+    the smallest angle against the reference direction, then
+    lexicographically.  None for an empty cone."""
 
-    def key(pn: ProxNormal):
-        angle_key = 0.0
-        if reference is not None:
-            angle_key = -float(np.dot(pn.direction, reference))
-        return (-pn.realization, angle_key, tuple(pn.direction))
+    def key(i):
+        d = cone.directions[i]
+        angle_key = 0.0 if reference is None else -float(np.dot(d, reference))
+        return (-cone.realizations[i], angle_key, tuple(d))
 
-    return sorted(normals, key=key)[0]
+    return min(range(len(cone)), key=key, default=None)

@@ -80,14 +80,13 @@ class EnvelopeContext:
             a = as_vec(a, dim=self.desc.dim)
             required = self.boundary_radius(a, labels)
             rho_test = min(required, self.rho_max) if math.isfinite(required) else self.rho_max
-            normals = sample_unit_normals(
+            cone = sample_unit_normals(
                 self.desc, a, density=self.density, rho_max=self.rho_max,
                 with_realizations=False,
             )
             ok = False
-            if normals:
-                dirs = np.asarray([n.direction for n in normals])
-                margins = realization_margins(self.desc, a, dirs, rho_test)
+            if cone:
+                margins = realization_margins(self.desc, a, cone.directions, rho_test)
                 ok = bool(np.any(margins >= -self.desc.realize_tol))
             self._realizable_memo[key] = ok
         return self._realizable_memo[key]
@@ -213,9 +212,9 @@ class SConvexityReport:
     notes: list = field(default_factory=list)
 
 
-def _segment_cap(desc, a, pn) -> float:
-    reach = pn.realization if math.isfinite(pn.realization) else 4.0 * desc.diameter
-    first_hit = first_boundary_return(desc, a, pn.direction)
+def _segment_cap(desc, a, direction, realization) -> float:
+    reach = realization if math.isfinite(realization) else 4.0 * desc.diameter
+    first_hit = first_boundary_return(desc, a, direction)
     if not math.isfinite(first_hit):
         first_hit = 4.0 * desc.diameter
     return min(reach, first_hit, 4.0 * desc.diameter)
@@ -225,35 +224,34 @@ def _segment_in_s(s_membership, a, endpoint) -> bool:
     return all(s_membership(a + t * (endpoint - a)) for t in np.linspace(0.0, 1.0, 33))
 
 
-def _pair_intersection_2d(a1, d1, T1, a2, d2, T2, slack):
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(det) < 1e-14:
-        return None
-    w = a2 - a1
-    t = (w[0] * d2[1] - w[1] * d2[0]) / det
-    s = (w[0] * d1[1] - w[1] * d1[0]) / det
-    if -slack <= t <= T1 + slack and -slack <= s <= T2 + slack:
-        return t, s, a1 + t * d1
-    return None
-
-
-def _pair_closest_3d(a1, d1, T1, a2, d2, T2, slack, tol):
-    w0 = a1 - a2
-    b = float(d1 @ d2)
-    denom = 1.0 - b * b
-    if abs(denom) < 1e-14:
-        return None
-    e = float(w0 @ d1)
-    f = float(w0 @ d2)
-    t = (b * f - e) / denom
-    s = (f - b * e) / denom
-    t = min(max(t, 0.0), T1)
-    s = min(max(s, 0.0), T2)
-    p1 = a1 + t * d1
-    p2 = a2 + s * d2
-    if norm(p1 - p2) < tol and -slack <= t <= T1 + slack and -slack <= s <= T2 + slack:
-        return t, s, 0.5 * (p1 + p2)
-    return None
+def _crossings(desc, a1, d1, T1, bases, dirs, caps):
+    """Hit mask, parameters t, s and crossing points of the segment (a1, d1,
+    T1) against each row of (bases, dirs, caps): line intersection in 2D,
+    closest points within 1e-9 * diameter in 3D."""
+    slack = 1e-5 * (1.0 + np.maximum(T1, caps))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if desc.dim == 2:
+            det = d1[0] * dirs[:, 1] - d1[1] * dirs[:, 0]
+            w = bases - a1
+            t = (w[:, 0] * dirs[:, 1] - w[:, 1] * dirs[:, 0]) / det
+            s = (w[:, 0] * d1[1] - w[:, 1] * d1[0]) / det
+            points = a1 + t[:, None] * d1
+            hit = np.abs(det) >= 1e-14
+        else:
+            w = a1 - bases
+            b = dirs @ d1
+            denom = 1.0 - b * b
+            e = w @ d1
+            f = np.sum(w * dirs, axis=1)
+            t = np.minimum(np.maximum((b * f - e) / denom, 0.0), T1)
+            s = np.minimum(np.maximum((f - b * e) / denom, 0.0), caps)
+            p1 = a1 + t[:, None] * d1
+            p2 = bases + s[:, None] * dirs
+            points = 0.5 * (p1 + p2)
+            gap = np.linalg.norm(p1 - p2, axis=1)
+            hit = (np.abs(denom) >= 1e-14) & (gap < 1e-9 * desc.diameter)
+    hit &= (-slack <= t) & (t <= T1 + slack) & (-slack <= s) & (s <= caps + slack)
+    return hit, t, s, points
 
 
 # Boundary points in one S-convexity sample.
@@ -269,27 +267,31 @@ def normal_segments(desc, boundary_samples, density, seed, rho_max):
 
     A boundary sample whose coordinates equal an earlier one is skipped (its
     cone and segments would be the same).  Each sampled unit normal becomes a
-    segment (base, direction, cap) extended to ``_segment_cap``; caps at or
-    below the membership tolerance are skipped.
+    segment extended to ``_segment_cap``; caps at or below the membership
+    tolerance are skipped.  Returns the boundary samples and the segments as
+    arrays (bases (n, d), directions (n, d), caps (n,)).
     """
     density = default_density(desc.dim) if density is None else density
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
-    samples, segments, seen = [], [], set()
+    samples, seen = [], set()
+    bases, dirs, caps = [], [], []
     for a, label in desc.sample_boundary(min(boundary_samples, SEGMENT_SAMPLES), seed=seed):
         if tuple(a) in seen:
             continue
         seen.add(tuple(a))
         samples.append((a, label))
-        normals = sample_unit_normals(desc, a, density=density, rho_max=rho_max)
+        cone = sample_unit_normals(desc, a, density=density, rho_max=rho_max)
         # Fat cones (isolated points see the whole direction grid) would
         # swamp the pair loop; a deterministic stride keeps a spread.
-        if len(normals) > 40:
-            normals = normals[:: max(1, len(normals) // 40)]
-        for pn in normals:
-            cap = _segment_cap(desc, a, pn)
+        stride = max(1, len(cone) // 40)
+        for d, r in zip(cone.directions[::stride], cone.realizations[::stride]):
+            cap = _segment_cap(desc, a, d, r)
             if cap > desc.membership_tol:
-                segments.append((a, pn.direction, cap))
-    return samples, segments
+                bases.append(a)
+                dirs.append(d)
+                caps.append(cap)
+    rows = (-1, desc.dim)
+    return samples, (np.reshape(bases, rows), np.reshape(dirs, rows), np.asarray(caps, dtype=float))
 
 
 def is_s_convex(desc: ClosedSetDesc, s_membership, sample, seed: int) -> SConvexityReport:
@@ -302,9 +304,10 @@ def is_s_convex(desc: ClosedSetDesc, s_membership, sample, seed: int) -> SConvex
     probing between boundary samples of distinct components (a point of S
     outside the set with two projection clusters whose projection segments
     stay in S is a crossing of two normal segments).  Any confirmed crossing
-    fails the check.
+    fails the check.  Pairs (i, j), i < j, go in order: segment i against
+    all later ones at once, its hits confirmed in order.
     """
-    samples, segments = sample
+    samples, (bases, dirs, caps) = sample
     rng = np.random.default_rng(seed)
     notes: list[str] = []
 
@@ -314,7 +317,6 @@ def is_s_convex(desc: ClosedSetDesc, s_membership, sample, seed: int) -> SConvex
             break
 
     base_tol = 1e-9 * desc.diameter
-    hit_tol = 1e-9 * desc.diameter
     violations: list[SConvexityViolation] = []
     pairs = 0
 
@@ -325,43 +327,34 @@ def is_s_convex(desc: ClosedSetDesc, s_membership, sample, seed: int) -> SConvex
             return False
         return _segment_in_s(s_membership, a1, point) and _segment_in_s(s_membership, a2, point)
 
-    for i in range(len(segments)):
-        if violations:
-            break
-        a1, d1, T1 = segments[i]
-        for j in range(i + 1, len(segments)):
-            a2, d2, T2 = segments[j]
-            if norm(a1 - a2) <= base_tol:
-                continue
-            if pairs == MAX_PAIRS:
-                notes.append(f"pair budget {MAX_PAIRS} exhausted")
-                break
-            pairs += 1
-            slack = 1e-5 * (1.0 + max(T1, T2))
-            if desc.dim == 2:
-                hit = _pair_intersection_2d(a1, d1, T1, a2, d2, T2, slack)
-            else:
-                hit = _pair_closest_3d(a1, d1, T1, a2, d2, T2, slack, hit_tol)
-            if hit is None:
-                continue
-            t, s, point = hit
-            if confirm(a1, a2, point):
-                violations.append(
-                    SConvexityViolation(
-                        as_tuple(a1), as_tuple(d1), float(t), as_tuple(a2), as_tuple(d2), float(s),
-                        as_tuple(point), "segment-pair",
-                    )
+    for i in range(len(caps)):
+        a1, d1, T1 = bases[i], dirs[i], caps[i]
+        later = i + 1 + np.flatnonzero(np.linalg.norm(bases[i + 1:] - a1, axis=1) > base_tol)
+        exhausted = later.size > MAX_PAIRS - pairs
+        later = later[:MAX_PAIRS - pairs]
+        hit, t, s, points = _crossings(desc, a1, d1, T1, bases[later], dirs[later], caps[later])
+        confirmed = (k for k in np.flatnonzero(hit) if confirm(a1, bases[later[k]], points[k]))
+        k = next(confirmed, None)
+        if k is not None:
+            pairs += int(k) + 1
+            j = later[k]
+            violations.append(
+                SConvexityViolation(
+                    as_tuple(a1), as_tuple(d1), float(t[k]), as_tuple(bases[j]),
+                    as_tuple(dirs[j]), float(s[k]), as_tuple(points[k]), "segment-pair",
                 )
-                break
-        else:
-            continue
-        break
+            )
+            break
+        pairs += later.size
+        if exhausted:
+            notes.append(f"pair budget {MAX_PAIRS} exhausted")
+            break
 
     if not violations:
         violations.extend(_equidistant_probe(desc, s_membership, samples))
 
     verdict = "holds" if not violations else "fails"
-    return SConvexityReport(verdict, violations, len(segments), pairs, seed, notes)
+    return SConvexityReport(verdict, violations, len(caps), pairs, seed, notes)
 
 
 def _equidistant_probe(desc, s_membership, samples):

@@ -46,10 +46,10 @@ def test_cover_radius_and_witnesses(slab3d):
 
 def test_cone_sampling_finds_the_axis(slab3d):
     desc, _ = slab3d
-    normals = sample_unit_normals(desc, (0.5, -0.3, 2.0), density=500, rho_max=50.0)
-    assert len(normals) == 1
-    assert np.allclose(normals[0].direction, [0, 0, -1], atol=1e-9)
-    assert normals[0].realization == pytest.approx(1.0, abs=1e-6)
+    cone = sample_unit_normals(desc, (0.5, -0.3, 2.0), density=500, rho_max=50.0)
+    assert len(cone) == 1
+    assert np.allclose(cone.directions[0], [0, 0, -1], atol=1e-9)
+    assert cone.realizations[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ball_realization_and_check(ball3d):

@@ -185,10 +185,11 @@ def test_criterion_6_property_suites():
         for fix in (strip, shell):
             desc = fix.desc
             for a, _ in desc.sample_boundary(45, seed=11):
-                for pn in sample_unit_normals(desc, a, density=180, rho_max=50.0):
-                    rho = pn.realization if math.isfinite(pn.realization) else 50.0
+                cone = sample_unit_normals(desc, a, density=180, rho_max=50.0)
+                for direction, realization in zip(cone.directions, cone.realizations):
+                    rho = realization if math.isfinite(realization) else 50.0
                     for frac in rng.uniform(0.05, 0.98, size=12):
-                        assert is_realized_by_sphere(desc, a, pn.direction, float(frac * rho))
+                        assert is_realized_by_sphere(desc, a, direction, float(frac * rho))
                         checked += 1
         assert checked >= 1000
 
@@ -199,11 +200,12 @@ def test_criterion_6_property_suites():
             cloud = desc.oracle.probe_points(1000, rng)
             pairs = 0
             for a, _ in desc.sample_boundary(25, seed=13):
-                for pn in sample_unit_normals(desc, a, density=90, rho_max=50.0):
-                    rho = 0.999 * min(pn.realization, 50.0)
-                    assert is_realized_by_sphere(desc, a, pn.direction, rho)
+                cone = sample_unit_normals(desc, a, density=90, rho_max=50.0)
+                for direction, realization in zip(cone.directions, cone.realizations):
+                    rho = 0.999 * min(realization, 50.0)
+                    assert is_realized_by_sphere(desc, a, direction, rho)
                     w = cloud - a
-                    lhs = w @ pn.direction
+                    lhs = w @ direction
                     rhs = np.sum(w * w, axis=1) / (2.0 * rho)
                     assert np.all(lhs <= rhs + 1e-9 * desc.diameter)
                     pairs += 1
@@ -214,10 +216,11 @@ def test_criterion_6_property_suites():
         for fix in (strip, shell):
             desc = fix.desc
             for a, _ in desc.sample_boundary(26, seed=31):
-                for pn in sample_unit_normals(desc, a, density=90, rho_max=50.0):
-                    rho = min(pn.realization, 50.0)
+                cone = sample_unit_normals(desc, a, density=90, rho_max=50.0)
+                for direction, realization in zip(cone.directions, cone.realizations):
+                    rho = min(realization, 50.0)
                     for t in np.linspace(0.02, 0.98, 20) * rho:
-                        proj = desc.project(a + t * pn.direction)
+                        proj = desc.project(a + t * direction)
                         assert proj.multiplicity == 1
                         assert np.linalg.norm(proj.points[0] - a) <= desc.cluster_tol
                         probes += 1

@@ -121,7 +121,7 @@ class TestHalfplaneTiltedNormals:
         from extsphere.proximal import sample_unit_normals
 
         base = np.array([math.cos(angle), -math.sin(angle)]) * 1.3
-        normals = sample_unit_normals(desc, base, density=720, rho_max=50.0)
-        assert len(normals) == 1
-        assert np.allclose(normals[0].direction, n, atol=1e-9)
-        assert normals[0].realization == math.inf
+        cone = sample_unit_normals(desc, base, density=720, rho_max=50.0)
+        assert len(cone) == 1
+        assert np.allclose(cone.directions[0], n, atol=1e-9)
+        assert cone.realizations[0] == math.inf

@@ -33,6 +33,17 @@ BUNDLED = {
 }
 COMMANDS = ("check", "harness", "report", "cover")
 
+# `sconvex --envelope {full, capped, space}` per bundled scene.
+SCONVEX = {
+    "strip": ("eb5db9415933956e", "77e670366b6ee492", "90d0cf0c3ebda8a7"),
+    "lineplane": ("ba3c86772925080a", "39bf112ebbb40978", "300ca7f04b7b672c"),
+    "ball": ("ab4a57a80f220946", "dce9638223c1a717", "6641296675f4b556"),
+    "ballcomplement": ("78a64f34e4fea10e", "3b61eb2024424fd3", "90621c29ddb76799"),
+    "halfplane": ("d2790826a7b9ffb6", "f2769b45196de779", "3da960561990d102"),
+    "pointset": ("82be065b67f7278f", "246c443b04983525", "9c137b7d1d3388b7"),
+}
+ENVELOPES = ("full", "capped", "space")
+
 # No bundled scene has an intersection; these two send every query through
 # a convex intersection nested in a union.
 POLYDISK = """
@@ -120,6 +131,19 @@ def test_bundled_digest(tmp_path, capsys, name, command):
     assert actual == pinned, _explain(name, command, actual, pinned)
 
 
+@pytest.mark.parametrize(
+    "name,envelope", [(name, envelope) for name in SCONVEX for envelope in ENVELOPES]
+)
+def test_sconvex_digest(tmp_path, capsys, name, envelope):
+    pinned = SCONVEX[name][ENVELOPES.index(envelope)]
+    path = os.path.join(SCENES, f"{name}.scene")
+    payload = _payload(tmp_path, "sconvex", path, ["--envelope", envelope])
+    if envelope == "full":
+        _PAYLOADS[(name, "sconvex")] = payload
+    actual = payload["digest"]
+    assert actual == pinned, _explain(name, f"sconvex --envelope {envelope}", actual, pinned)
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_report_verdicts_are_the_harness_verdicts(tmp_path, capsys, name):
     report = _bundled_payload(tmp_path, name, "report")
@@ -140,10 +164,10 @@ def test_sconvex_runs_on_the_harness_sample(tmp_path, capsys, name):
     assert payload["verdict"] == harness["verdicts"]["ii"]
     scene = load_scene(os.path.join(SCENES, f"{name}.scene"))
     spec = scene.samples
-    _, segments = normal_segments(
+    _, (_, _, caps) = normal_segments(
         scene.desc, spec.boundary_samples, spec.density, spec.seed, spec.rho_max
     )
-    assert payload["report"]["segments_tested"] == len(segments)
+    assert payload["report"]["segments_tested"] == len(caps)
 
 
 def test_capped_sconvex_is_the_capped_convexity_part(tmp_path, capsys):

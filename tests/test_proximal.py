@@ -121,32 +121,41 @@ class TestFirstBoundaryReturn:
 
 class TestSampledCone:
     def test_halfplane_single_direction(self, halfplane):
-        normals = sample_unit_normals(halfplane.desc, (0, 0), density=720, rho_max=100.0)
-        assert len(normals) == 1
-        assert np.allclose(normals[0].direction, [0, 1], atol=1e-9)
+        cone = sample_unit_normals(halfplane.desc, (0, 0), density=720, rho_max=100.0)
+        assert len(cone) == 1
+        assert np.allclose(cone.directions[0], [0, 1], atol=1e-9)
 
     def test_line_has_two_sided_normals(self, lineplane):
-        normals = sample_unit_normals(lineplane.desc, (0, 0), density=720, rho_max=100.0)
-        dirs = sorted(tuple(np.round(n.direction, 9)) for n in normals)
+        cone = sample_unit_normals(lineplane.desc, (0, 0), density=720, rho_max=100.0)
+        dirs = sorted(tuple(np.round(d, 9)) for d in cone.directions)
         assert dirs == [(-0.0, -1.0), (0.0, 1.0)] or dirs == [(0.0, -1.0), (0.0, 1.0)]
         # Both pass the probe-based inequality at the realization scale.
-        for n in normals:
-            sigma = 0.0 if math.isinf(n.realization) else 1.0 / (2.0 * n.realization)
-            assert is_proximal_normal(lineplane.desc, (0, 0), n.direction, sigma)
+        for direction, realization in zip(cone.directions, cone.realizations):
+            sigma = 0.0 if math.isinf(realization) else 1.0 / (2.0 * realization)
+            assert is_proximal_normal(lineplane.desc, (0, 0), direction, sigma)
 
     def test_ball_single_radial_cone(self, ball):
         a = np.array([1.0, 0.0])
-        normals = sample_unit_normals(ball.desc, a, density=720, rho_max=100.0)
-        assert len(normals) == 1
-        assert np.allclose(normals[0].direction, [1, 0], atol=1e-9)
-        assert normals[0].realization == INF
+        cone = sample_unit_normals(ball.desc, a, density=720, rho_max=100.0)
+        assert len(cone) == 1
+        assert np.allclose(cone.directions[0], [1, 0], atol=1e-9)
+        assert cone.realizations[0] == INF
+
+    @pytest.mark.parametrize("with_realizations", [True, False])
+    def test_cone_length_is_the_row_count(self, lineplane, pointset, with_realizations):
+        for desc, a in ((lineplane.desc, (0, 0)), (lineplane.desc, (1, 4)), (pointset.desc, (0, 0))):
+            cone = sample_unit_normals(
+                desc, a, density=90, rho_max=50.0, with_realizations=with_realizations
+            )
+            assert len(cone) == cone.directions.shape[0] == cone.realizations.shape[0] > 0
+            assert np.isnan(cone.realizations).all() != with_realizations
 
     def test_realizations_attached(self, lineplane):
-        normals = sample_unit_normals(lineplane.desc, (0, 0), density=720, rho_max=100.0)
-        up = next(n for n in normals if n.direction[1] > 0)
-        down = next(n for n in normals if n.direction[1] < 0)
-        assert up.realization == pytest.approx(2.0, abs=1e-6)
-        assert down.realization == INF
+        cone = sample_unit_normals(lineplane.desc, (0, 0), density=720, rho_max=100.0)
+        up = cone.realizations[cone.directions[:, 1] > 0]
+        down = cone.realizations[cone.directions[:, 1] < 0]
+        assert up[0] == pytest.approx(2.0, abs=1e-6)
+        assert down[0] == INF
 
 
 class TestSampledConeProperties:
@@ -157,10 +166,11 @@ class TestSampledConeProperties:
         for fix in (strip, ballcomplement):
             desc = fix.desc
             for a, _ in desc.sample_boundary(45, seed=11):
-                for pn in sample_unit_normals(desc, a, density=180, rho_max=50.0):
-                    rho = pn.realization if math.isfinite(pn.realization) else 50.0
+                cone = sample_unit_normals(desc, a, density=180, rho_max=50.0)
+                for direction, realization in zip(cone.directions, cone.realizations):
+                    rho = realization if math.isfinite(realization) else 50.0
                     for frac in rng.uniform(0.05, 0.98, size=12):
-                        assert is_realized_by_sphere(desc, a, pn.direction, float(frac * rho))
+                        assert is_realized_by_sphere(desc, a, direction, float(frac * rho))
                         checked += 1
         assert checked >= 1000
 
@@ -173,11 +183,12 @@ class TestSampledConeProperties:
             cloud = desc.oracle.probe_points(2000, rng)
             count = 0
             for a, _ in desc.sample_boundary(20, seed=13):
-                for pn in sample_unit_normals(desc, a, density=90, rho_max=50.0):
-                    rho = min(pn.realization, 50.0)
-                    assert is_realized_by_sphere(desc, a, pn.direction, rho * 0.999)
+                cone = sample_unit_normals(desc, a, density=90, rho_max=50.0)
+                for direction, realization in zip(cone.directions, cone.realizations):
+                    rho = min(realization, 50.0)
+                    assert is_realized_by_sphere(desc, a, direction, rho * 0.999)
                     w = cloud - a
-                    lhs = w @ pn.direction
+                    lhs = w @ direction
                     rhs = (np.sum(w * w, axis=1)) / (2.0 * rho * 0.999)
                     assert np.all(lhs <= rhs + 1e-9 * desc.diameter)
                     count += 1
@@ -204,10 +215,11 @@ class TestSampledConeProperties:
         for fix in (strip, ballcomplement):
             desc = fix.desc
             for a, _ in desc.sample_boundary(10, seed=31):
-                for pn in sample_unit_normals(desc, a, density=90, rho_max=50.0):
-                    rho = min(pn.realization, 50.0)
+                cone = sample_unit_normals(desc, a, density=90, rho_max=50.0)
+                for direction, realization in zip(cone.directions, cone.realizations):
+                    rho = min(realization, 50.0)
                     for t in np.linspace(0.02, 0.98, 20) * rho:
-                        proj = desc.project(a + t * pn.direction)
+                        proj = desc.project(a + t * direction)
                         assert proj.multiplicity == 1
                         assert np.linalg.norm(proj.points[0] - a) <= desc.cluster_tol
 

@@ -186,10 +186,11 @@ class TestReachZoneSegmentUnion:
 
         checked = 0
         for a, _ in strip.desc.sample_boundary(12, seed=17):
-            for pn in sample_unit_normals(strip.desc, a, density=180, rho_max=100.0):
-                rho = min(pn.realization, 0.5 * strip.desc.diameter)
+            cone = sample_unit_normals(strip.desc, a, density=180, rho_max=100.0)
+            for direction, realization in zip(cone.directions, cone.realizations):
+                rho = min(realization, 0.5 * strip.desc.diameter)
                 for t in (0.15, 0.5, 0.85):
-                    p = a + t * rho * pn.direction
+                    p = a + t * rho * direction
                     assert in_unique_reach_zone(strip_ctx, p)
                     checked += 1
         assert checked >= 30
