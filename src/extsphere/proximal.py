@@ -15,6 +15,7 @@ inequality itself.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -474,14 +475,15 @@ def _refine_direction(desc: ClosedSetDesc, a, dir0: np.ndarray, rho: float, span
 
 
 @functools.cache
-def _direction_grid(dim: int, density: int) -> tuple[np.ndarray, frozenset]:
-    """The direction grid of a (dim, density) sweep with its 9-digit row keys,
-    built once; rows repeating an earlier one at 9 digits are dropped."""
+def _direction_grid(dim: int, density: int) -> tuple[np.ndarray, dict]:
+    """The direction grid of a (dim, density) sweep and the row of each
+    9-digit row key, built once; rows repeating an earlier one at 9 digits
+    are dropped."""
     grid = unit_direction_grid(dim, density)
     _, keep = np.unique(np.round(grid, 9), axis=0, return_index=True)
     grid = grid[np.sort(keep)]
     grid.flags.writeable = False
-    return grid, frozenset(map(tuple, np.round(grid, 9).tolist()))
+    return grid, {key: i for i, key in enumerate(map(tuple, np.round(grid, 9).tolist()))}
 
 
 def sample_unit_normals(
@@ -497,26 +499,33 @@ def sample_unit_normals(
     Sweeps a deterministic direction grid augmented with the analytic normal
     candidates of the leaves owning the point and the extra directions
     (each dropped when it equals a grid row or an earlier candidate at 9
-    digits), keeps directions whose RHO_MIN tangent sphere misses the set
-    (the proximal inequality at sigma = 1/(2 RHO_MIN)), and attaches
-    realization radii (NaN without ``with_realizations``).  Returns a
-    ``Cone``; it may be empty: the cone can be trivial, and every verdict
-    downstream is explicitly "at tested density".
+    digits), and keeps directions whose RHO_MIN tangent sphere misses the
+    set (the proximal inequality at sigma = 1/(2 RHO_MIN)).  A leaf normal
+    that passes within the margin noise absorbs the grid directions within
+    one grid step (2 pi / density) of it; the grid's own copy of that normal
+    stays.  Returns a ``Cone``: the kept directions (k, d) and their
+    realization radii (k,), NaN without ``with_realizations``.  It may be
+    empty: the cone can be trivial, and every verdict downstream is
+    explicitly "at tested density".
     """
     a = as_vec(a, dim=desc.dim)
     if not desc.on_boundary(a):
         raise GeometryError(f"point {a.tolist()} is not on the set boundary")
     density = default_density(desc.dim) if density is None else density
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
-    grid, grid_keys = _direction_grid(desc.dim, density)
+    grid, grid_rows = _direction_grid(desc.dim, density)
     owners = owning_leaves(desc.leaves, a, desc.cluster_tol)
     cand = [d for leaf in owners for d in leaf.normal_directions(a)]
+    leaf_count = len(cand)
     if extra_directions is not None:
         cand.extend(normalized(d) for d in extra_directions)
-    fresh = {}
-    for d in cand:
-        fresh.setdefault(tuple(np.round(d, 9).tolist()), d)
-    extra = [d for key, d in fresh.items() if key not in grid_keys]
+    keys = [tuple(np.round(d, 9).tolist()) for d in cand]
+    rows = collections.ChainMap({}, grid_rows)  # 9-digit key -> row of all_dirs
+    extra = []
+    for key, d in zip(keys, cand):
+        if key not in rows:
+            rows[key] = len(grid) + len(extra)
+            extra.append(d)
     all_dirs = np.concatenate([grid, np.asarray(extra)]) if extra else grid
     tol = cone_filter_tol(desc, density, RHO_MIN)
     margins = realization_margins(desc, a, all_dirs, RHO_MIN)
@@ -527,6 +536,14 @@ def sample_unit_normals(
     noise = desc.margin_noise
     theta = 2.0 * math.pi / density
     exact = passed[margins[passed] >= -noise]
+    # A grid direction a fraction of a step off a leaf normal has a margin
+    # of about -RHO_MIN * angle^2 / 2, which can sit inside the noise band:
+    # each leaf normal that passes at noise absorbs the grid directions
+    # within one grid step of it, keeping the grid's own copy of itself.
+    normals = [rows[key] for key in keys[:leaf_count] if margins[rows[key]] >= -noise]
+    if normals:
+        near = np.max(all_dirs[exact] @ all_dirs[normals].T, axis=1) > math.cos(theta)
+        exact = exact[~(near & (exact < len(grid)) & ~np.isin(exact, normals))]
     stalled = []
     for i in passed[margins[passed] < -noise]:
         d = _refine_direction(desc, a, all_dirs[i], RHO_MIN, span=theta)

@@ -26,8 +26,8 @@ PINNED_NUMPY = "2.4.6"
 BUNDLED = {
     "strip": ("8c27c67c3b716612", "4b736b3e22897e38", "b1196b417416ada9", "4d26e83a847c2322"),
     "lineplane": ("3aefcdd71a007ad4", "4aa5661aa55036e0", "877e60609a53cb22", "f3b69119039f6b05"),
-    "ball": ("95072e7909de383f", "77712a5711651609", "75de1f83a65fac13", "18ede0e81fef9ef2"),
-    "ballcomplement": ("f404f9042a6ac5da", "f2a413c844d27104", "b26f6b06b40ad909", "6297c01fa62c3e15"),
+    "ball": ("d98a743a1d928e08", "af41c10c3295e7eb", "75de1f83a65fac13", "18ede0e81fef9ef2"),
+    "ballcomplement": ("74c4fe9b6e83445c", "e7c6d7c7b1ede6f6", "b26f6b06b40ad909", "6297c01fa62c3e15"),
     "halfplane": ("173f134a8bd19c10", "bc70a646218e43be", "0ab5471db682063d", "caa03f96ed2b4805"),
     "pointset": ("d053cef8abd8a06f", "7b34423999f8071c", "cbf14ee22337e299", "43c3a449f8cf4eca"),
 }
@@ -37,8 +37,8 @@ COMMANDS = ("check", "harness", "report", "cover")
 SCONVEX = {
     "strip": ("eb5db9415933956e", "77e670366b6ee492", "90d0cf0c3ebda8a7"),
     "lineplane": ("ba3c86772925080a", "39bf112ebbb40978", "300ca7f04b7b672c"),
-    "ball": ("ab4a57a80f220946", "dce9638223c1a717", "6641296675f4b556"),
-    "ballcomplement": ("78a64f34e4fea10e", "3b61eb2024424fd3", "90621c29ddb76799"),
+    "ball": ("646d68073281c881", "37e03e941ad48815", "6088cc5ea51957e8"),
+    "ballcomplement": ("d6015d960101016b", "1b10c657545dd284", "cb5c2e84a31c518c"),
     "halfplane": ("d2790826a7b9ffb6", "f2769b45196de779", "3da960561990d102"),
     "pointset": ("82be065b67f7278f", "246c443b04983525", "9c137b7d1d3388b7"),
 }

@@ -150,6 +150,15 @@ class TestSampledCone:
             assert len(cone) == cone.directions.shape[0] == cone.realizations.shape[0] > 0
             assert np.isnan(cone.realizations).all() != with_realizations
 
+    def test_disk_cone_is_the_radial_normal(self, ball):
+        # Grid directions within one grid step of the radial normal can pass
+        # the noise band (margin ~ -RHO_MIN * angle^2 / 2); the normal
+        # absorbs them.  Seed 19 drew 14 such samples of 60.
+        for a, _ in ball.desc.sample_boundary(60, seed=19):
+            cone = sample_unit_normals(ball.desc, a, density=720, rho_max=100.0)
+            assert len(cone) == 1
+            assert np.allclose(cone.directions[0], a / np.linalg.norm(a), rtol=0.0, atol=1e-12)
+
     def test_realizations_attached(self, lineplane):
         cone = sample_unit_normals(lineplane.desc, (0, 0), density=720, rho_max=100.0)
         up = cone.realizations[cone.directions[:, 1] > 0]
