@@ -265,21 +265,16 @@ def normal_segments(desc, boundary_samples, density, seed, rho_max):
     """The S-convexity sample, which does not depend on S: at most
     ``SEGMENT_SAMPLES`` boundary points and their normal segments.
 
-    A boundary sample whose coordinates equal an earlier one is skipped (its
-    cone and segments would be the same).  Each sampled unit normal becomes a
-    segment extended to ``_segment_cap``; caps at or below the membership
-    tolerance are skipped.  Returns the boundary samples and the segments as
-    arrays (bases (n, d), directions (n, d), caps (n,)).
+    Each sampled unit normal becomes a segment extended to
+    ``_segment_cap``; caps at or below the membership tolerance are skipped.
+    Returns the boundary samples and the segments as arrays (bases (n, d),
+    directions (n, d), caps (n,)).
     """
     density = default_density(desc.dim) if density is None else density
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
-    samples, seen = [], set()
+    samples = desc.sample_boundary(min(boundary_samples, SEGMENT_SAMPLES), seed=seed)
     bases, dirs, caps = [], [], []
-    for a, label in desc.sample_boundary(min(boundary_samples, SEGMENT_SAMPLES), seed=seed):
-        if tuple(a) in seen:
-            continue
-        seen.add(tuple(a))
-        samples.append((a, label))
+    for a, _ in samples:
         cone = sample_unit_normals(desc, a, density=density, rho_max=rho_max)
         # Fat cones (isolated points see the whole direction grid) would
         # swamp the pair loop; a deterministic stride keeps a spread.

@@ -1100,16 +1100,20 @@ class ClosedSetDesc:
     # -- boundary sampling ------------------------------------------------------
 
     def sample_boundary(self, count: int, seed: int = 0) -> list[tuple[np.ndarray, str]]:
-        """Deterministic-under-seed boundary points with originating labels.
+        """Deterministic-under-seed distinct boundary points with originating
+        labels, at most ``count`` of them.
 
         Every returned point is in the set but not in its interior; points of
-        one leaf swallowed by another component's interior are rejected.
+        one leaf swallowed by another component's interior are rejected, and
+        so are points whose coordinates equal an earlier one (a finite point
+        set offers each of its points once).
         """
         if count < 1:
             raise GeometryError("count must be >= 1")
         rng = np.random.default_rng(seed)
         quota = max(1, count // len(self.leaves))
         out: list[tuple[np.ndarray, str]] = []
+        seen: set[tuple] = set()
         for leaf in self.leaves:
             want = quota if leaf is not self.leaves[-1] else count - len(out)
             got: list[np.ndarray] = []
@@ -1119,6 +1123,9 @@ class ClosedSetDesc:
                 batch = leaf.boundary_points(max(want, 8), rng, self.box)
                 keep = self.contains_many(batch) & ~self.interior_many(batch)
                 for p in batch[keep]:
+                    if tuple(p) in seen:
+                        continue
+                    seen.add(tuple(p))
                     got.append(p)
                     if len(got) >= want:
                         break

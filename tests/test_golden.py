@@ -29,7 +29,7 @@ BUNDLED = {
     "ball": ("d98a743a1d928e08", "af41c10c3295e7eb", "75de1f83a65fac13", "18ede0e81fef9ef2"),
     "ballcomplement": ("74c4fe9b6e83445c", "e7c6d7c7b1ede6f6", "b26f6b06b40ad909", "6297c01fa62c3e15"),
     "halfplane": ("173f134a8bd19c10", "bc70a646218e43be", "0ab5471db682063d", "caa03f96ed2b4805"),
-    "pointset": ("d053cef8abd8a06f", "7b34423999f8071c", "cbf14ee22337e299", "43c3a449f8cf4eca"),
+    "pointset": ("91ab1b271c9880ee", "cf190ed09e344ec2", "cbf14ee22337e299", "43c3a449f8cf4eca"),
 }
 COMMANDS = ("check", "harness", "report", "cover")
 

@@ -155,6 +155,12 @@ class TestBoundarySampling:
         b = strip.desc.sample_boundary(12, seed=42)
         assert all(np.array_equal(p, q) and l1 == l2 for (p, l1), (q, l2) in zip(a, b))
 
+    def test_points_are_distinct(self, pointset, strip):
+        # A finite point set offers each of its points once.
+        assert [tuple(p) for p, _ in pointset.desc.sample_boundary(60, seed=7)] == [(0.0, 0.0)]
+        samples = strip.desc.sample_boundary(40, seed=7)
+        assert len({tuple(p) for p, _ in samples}) == len(samples) == 40
+
 
 # Dykstra stops once the iterate repeats over one sweep, even while its
 # corrections still move: from (1.53, 3.39) it stops at the cut facet's
