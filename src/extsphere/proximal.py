@@ -18,6 +18,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -475,7 +476,7 @@ def _refine_direction(desc: ClosedSetDesc, a, dir0: np.ndarray, rho: float, span
 
 
 @functools.cache
-def _direction_grid(dim: int, density: int) -> tuple[np.ndarray, dict]:
+def _direction_grid(dim: int, density: int) -> tuple[np.ndarray, types.MappingProxyType]:
     """The direction grid of a (dim, density) sweep and the row of each
     9-digit row key, built once; rows repeating an earlier one at 9 digits
     are dropped."""
@@ -483,7 +484,8 @@ def _direction_grid(dim: int, density: int) -> tuple[np.ndarray, dict]:
     _, keep = np.unique(np.round(grid, 9), axis=0, return_index=True)
     grid = grid[np.sort(keep)]
     grid.flags.writeable = False
-    return grid, {key: i for i, key in enumerate(map(tuple, np.round(grid, 9).tolist()))}
+    rows = {key: i for i, key in enumerate(map(tuple, np.round(grid, 9).tolist()))}
+    return grid, types.MappingProxyType(rows)
 
 
 def sample_unit_normals(

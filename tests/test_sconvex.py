@@ -245,6 +245,72 @@ class TestSConvexity:
             assert report.verdict == "holds"
 
 
+def _pair_reference(dim, a1, d1, T1, a2, d2, T2, tol):
+    """One pair at a time, in scalar arithmetic: the test that
+    ``sconvex._crossings`` runs on a whole row at once."""
+    slack = 1e-5 * (1.0 + max(T1, T2))
+    if dim == 2:
+        det = d1[0] * d2[1] - d1[1] * d2[0]
+        if abs(det) < 1e-14:
+            return None
+        w = a2 - a1
+        t = (w[0] * d2[1] - w[1] * d2[0]) / det
+        s = (w[0] * d1[1] - w[1] * d1[0]) / det
+        point = a1 + t * d1
+    else:
+        w0 = a1 - a2
+        b = float(d1 @ d2)
+        denom = 1.0 - b * b
+        if abs(denom) < 1e-14:
+            return None
+        e, f = float(w0 @ d1), float(w0 @ d2)
+        t = min(max((b * f - e) / denom, 0.0), T1)
+        s = min(max((f - b * e) / denom, 0.0), T2)
+        p1, p2 = a1 + t * d1, a2 + s * d2
+        if np.linalg.norm(p1 - p2) >= tol:
+            return None
+        point = 0.5 * (p1 + p2)
+    if -slack <= t <= T1 + slack and -slack <= s <= T2 + slack:
+        return t, s, point
+    return None
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_row_crossings_match_the_pairwise_reference(dim):
+    # Segments in pairs through shared points, so that about half the rows
+    # of each scan cross; the 2D arithmetic is the same as the reference's,
+    # the 3D dot products may sum in another order.
+    rng = np.random.default_rng(dim)
+    box = (-3.0 * np.ones(dim), 3.0 * np.ones(dim))
+    desc = ClosedSetDesc(ClosedBall(np.zeros(dim), 1.0, label="b"), box=box)
+    n = 120
+    meet = np.repeat(rng.uniform(-2.0, 2.0, size=(n // 2, dim)), 2, axis=0)
+    dirs = rng.normal(size=(n, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    bases = meet - rng.uniform(0.0, 2.0, size=(n, 1)) * dirs
+    caps = rng.uniform(2.0, 3.0, size=n)
+    hits = 0
+    for i in range(n - 1):
+        hit, t, s, points = sconvex._crossings(
+            desc, bases[i], dirs[i], caps[i], bases[i + 1:], dirs[i + 1:], caps[i + 1:]
+        )
+        for k, j in enumerate(range(i + 1, n)):
+            ref = _pair_reference(
+                dim, bases[i], dirs[i], float(caps[i]), bases[j], dirs[j], float(caps[j]),
+                1e-9 * desc.diameter,
+            )
+            assert bool(hit[k]) == (ref is not None), (i, j)
+            if ref is None:
+                continue
+            hits += 1
+            if dim == 2:
+                assert (t[k], s[k], tuple(points[k])) == (ref[0], ref[1], tuple(ref[2]))
+            else:
+                got, want = [t[k], s[k], *points[k]], [ref[0], ref[1], *ref[2]]
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert hits >= (n // 2 if dim == 3 else n)
+
+
 class TestUniqueProjectionCheck:
     def test_lineplane_fails_on_envelope_boundary(self, lp_ctx):
         report = check_boundary_projection_uniqueness(lp_ctx, rays=60, seed=3)
