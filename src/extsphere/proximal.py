@@ -539,9 +539,6 @@ def sample_unit_normals(
     tol = cone_filter_tol(desc, density, RHO_MIN)
     margins = realization_margins(desc, a, all_dirs, RHO_MIN)
     passed = np.flatnonzero(margins >= -tol)
-    # Directions inside the tolerance shadow (realized only up to tol, not up
-    # to float noise) are angular neighbors of a true normal; refine them to
-    # the local margin maximum so duplicates collapse onto the exact one.
     noise = desc.margin_noise
     theta = 2.0 * math.pi / density
     exact = passed[margins[passed] >= -noise]
@@ -553,6 +550,9 @@ def sample_unit_normals(
     if normals:
         near = np.max(all_dirs[exact] @ all_dirs[normals].T, axis=1) > math.cos(theta)
         exact = exact[~(near & (exact < len(grid)) & ~np.isin(exact, normals))]
+    # Directions inside the tolerance shadow (realized only up to tol, not up
+    # to float noise) are angular neighbors of a true normal; refine them to
+    # the local margin maximum so duplicates collapse onto the exact one.
     stalled = []
     for i in passed[margins[passed] < -noise]:
         d = _refine_direction(desc, a, all_dirs[i], RHO_MIN, span=theta)
