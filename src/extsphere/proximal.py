@@ -201,7 +201,6 @@ class NormalCheck:
 
     ok: bool
     certificate: np.ndarray | None = None
-    worst_slack: float = INF
 
     def __bool__(self) -> bool:
         return self.ok
@@ -212,13 +211,10 @@ class RealizationCheck:
     """Outcome of a tangent-ball emptiness test.
 
     ``margin`` is distance(set, tangent center) - rho; exact tangency gives 0.
-    ``marginal`` flags margins inside the unreliable band (within ball_tol of
-    the decision threshold) for reporting purposes.
     """
 
     ok: bool
     margin: float
-    marginal: bool
 
     def __bool__(self) -> bool:
         return self.ok
@@ -248,23 +244,21 @@ def realization_margins(desc: ClosedSetDesc, a: np.ndarray, dirs: np.ndarray, rh
     return desc.distance_many(a + rhos[..., None] * dirs) - rhos
 
 
-def is_realized_by_sphere(desc: ClosedSetDesc, a, zeta, rho: float, tol: float | None = None) -> RealizationCheck:
+def is_realized_by_sphere(desc: ClosedSetDesc, a, zeta, rho: float) -> RealizationCheck:
     """Whether the open ball of radius rho tangent at a along zeta misses the set.
 
-    Decided by distance(set, a + rho*zeta) >= rho - tol.  The margin is never
-    positive for a genuine boundary point (the base point itself sits at
-    distance exactly rho from the center), so the test is a tangency test.
+    Decided by distance(set, a + rho*zeta) >= rho - realize_tol.  The
+    margin is never positive for a genuine boundary point (the base point
+    itself sits at distance exactly rho from the center), so the test is a
+    tangency test.
     """
     a = as_vec(a, dim=desc.dim)
     zeta = unit(zeta)
     rho = float(rho)
     if not (rho > 0.0 and math.isfinite(rho)):
         raise GeometryError(f"sphere radius must be positive and finite, got {rho!r}")
-    tol = desc.realize_tol if tol is None else tol
     margin = float(realization_margins(desc, a, zeta[None, :], rho)[0])
-    ok = margin >= -tol
-    marginal = (not ok) and margin >= -desc.ball_tol
-    return RealizationCheck(ok, margin, marginal)
+    return RealizationCheck(margin >= -desc.realize_tol, margin)
 
 
 def is_proximal_normal(
@@ -317,11 +311,10 @@ def is_proximal_normal(
     lhs = w @ zeta
     rhs = sigma * np.sum(w * w, axis=1)
     slack = rhs - lhs
-    tol = desc.realize_tol
     worst = int(np.argmin(slack))
-    if slack[worst] < -tol:
-        return NormalCheck(False, pts[worst].copy(), float(slack[worst]))
-    return NormalCheck(True, None, float(slack[worst]))
+    if slack[worst] < -desc.realize_tol:
+        return NormalCheck(False, pts[worst].copy())
+    return NormalCheck(True)
 
 
 def realization_radius(
@@ -420,59 +413,6 @@ def first_boundary_return(desc: ClosedSetDesc, a, zeta) -> float:
     return spans.first_entry_after(t_floor)
 
 
-def cone_filter_tol(desc: ClosedSetDesc, density: int, rho_test: float) -> float:
-    """Emptiness tolerance for cone membership probes at tiny radius.
-
-    Must sit far below the margin ~ rho * (grid step)^2 / 2 that separates a
-    true cone direction from its angular neighbors, and far above float
-    noise of the distance evaluation.
-    """
-    theta = 2.0 * math.pi / max(density, 8)
-    separation = 0.25 * rho_test * theta * theta
-    return max(desc.margin_noise, min(desc.realize_tol, separation))
-
-
-def _tangent_basis(direction: np.ndarray) -> list[np.ndarray]:
-    d = direction
-    if d.shape[0] == 2:
-        return [np.array([-d[1], d[0]])]
-    pivot = np.zeros(3)
-    pivot[int(np.argmin(np.abs(d)))] = 1.0
-    u = normalized(np.cross(d, pivot))
-    v = np.cross(d, u)
-    return [u, v]
-
-
-def _refine_direction(desc: ClosedSetDesc, a, dir0: np.ndarray, rho: float, span: float) -> np.ndarray:
-    """Rotate a near-cone direction to the local maximum of the tangency margin.
-
-    A true normal has margin exactly zero; a grid neighbor that leaked
-    through the filter tolerance climbs back onto the exact direction, after
-    which deduplication removes it.  Golden-section over the rotation angle,
-    one tangent axis at a time.
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def margin_of(d):
-        return float(realization_margins(desc, a, d[None, :], rho)[0])
-
-    best = dir0
-    for axis in _tangent_basis(dir0):
-        lo, hi = -span, span
-        for _ in range(40):
-            m1 = hi - inv_phi * (hi - lo)
-            m2 = lo + inv_phi * (hi - lo)
-            d1 = normalized(math.cos(m1) * best + math.sin(m1) * axis)
-            d2 = normalized(math.cos(m2) * best + math.sin(m2) * axis)
-            if margin_of(d1) >= margin_of(d2):
-                hi = m2
-            else:
-                lo = m1
-        angle = 0.5 * (lo + hi)
-        best = normalized(math.cos(angle) * best + math.sin(angle) * axis)
-    return best
-
-
 @functools.cache
 def _direction_grid(dim: int, density: int) -> tuple[np.ndarray, np.ndarray]:
     """The direction grid of a (dim, density) sweep and its rows rounded to
@@ -501,14 +441,17 @@ def sample_unit_normals(
     Sweeps a deterministic direction grid augmented with the analytic normal
     candidates of the leaves owning the point and the extra directions
     (each dropped when it equals a grid row or an earlier candidate at 9
-    digits), and keeps directions whose RHO_MIN tangent sphere misses the
-    set (the proximal inequality at sigma = 1/(2 RHO_MIN)).  A leaf normal
-    that passes within the margin noise absorbs the grid directions within
-    one grid step (2 pi / density) of it; the grid's own copy of that normal
-    stays.  Returns a ``Cone``: the kept directions (k, d) and their
-    realization radii (k,), NaN without ``with_realizations``.  It may be
-    empty: the cone can be trivial, and every verdict downstream is
-    explicitly "at tested density".
+    digits), and keeps the directions whose RHO_MIN tangent sphere misses
+    the set up to the margin noise (the proximal inequality at
+    sigma = 1/(2 RHO_MIN)).  A grid direction a fraction of a step off a
+    normal can pass that test too, so a leaf normal that passes absorbs the
+    grid directions within one grid step (2 pi / density) of it; the grid's
+    own copy of that normal stays.  Every returned direction is, bit for
+    bit, a grid row, a leaf normal or an extra direction.  Returns a
+    ``Cone``: the kept directions (k, d) and their realization radii (k,),
+    NaN without ``with_realizations``.  It may be empty: the cone can be
+    trivial, and every verdict downstream is explicitly "at tested
+    density".
     """
     a = as_vec(a, dim=desc.dim)
     if not desc.on_boundary(a):
@@ -536,40 +479,20 @@ def sample_unit_normals(
             extra.append(d)
         rows.append(fresh[key])
     all_dirs = np.concatenate([grid, np.asarray(extra)]) if extra else grid
-    tol = cone_filter_tol(desc, density, RHO_MIN)
     margins = realization_margins(desc, a, all_dirs, RHO_MIN)
-    passed = np.flatnonzero(margins >= -tol)
     noise = desc.margin_noise
-    theta = 2.0 * math.pi / density
-    exact = passed[margins[passed] >= -noise]
+    kept = np.flatnonzero(margins >= -noise)
     # A grid direction a fraction of a step off a leaf normal has a margin
     # of about -RHO_MIN * angle^2 / 2, which can sit inside the noise band:
-    # each leaf normal that passes at noise absorbs the grid directions
-    # within one grid step of it, keeping the grid's own copy of itself.
+    # each leaf normal that passes absorbs the grid directions within one
+    # grid step of it, keeping the grid's own copy of itself.
     normals = [row for row in rows[:leaf_count] if margins[row] >= -noise]
     if normals:
-        near = np.max(all_dirs[exact] @ all_dirs[normals].T, axis=1) > math.cos(theta)
-        exact = exact[~(near & (exact < len(grid)) & ~np.isin(exact, normals))]
-    # Directions inside the tolerance shadow (realized only up to tol, not up
-    # to float noise) are angular neighbors of a true normal; refine them to
-    # the local margin maximum so duplicates collapse onto the exact one.
-    stalled = []
-    for i in passed[margins[passed] < -noise]:
-        d = _refine_direction(desc, a, all_dirs[i], RHO_MIN, span=theta)
-        m = float(realization_margins(desc, a, d[None, :], RHO_MIN)[0])
-        if m >= -noise:
-            stalled.append((m, d))
-    # Angular dedupe with exact (unrefined) directions taking precedence:
-    # refinements that stalled in float noise a hair away from an exact
-    # normal collapse onto it rather than displacing it.  Exact directions
-    # are already distinct, so only refined ones need the merge test.
-    merge_cos = math.cos(2e-4)
-    kept = list(all_dirs[exact])
-    for _, d in sorted(stalled, key=lambda t: (-t[0], tuple(t[1]))):
-        if not kept or float(np.max(np.asarray(kept) @ d)) < merge_cos:
-            kept.append(d)
-    directions = np.asarray(kept).reshape(-1, desc.dim)
-    if with_realizations and kept:
+        step_cos = math.cos(2.0 * math.pi / density)
+        near = np.max(all_dirs[kept] @ all_dirs[normals].T, axis=1) > step_cos
+        kept = kept[~(near & (kept < len(grid)) & ~np.isin(kept, normals))]
+    directions = all_dirs[kept]
+    if with_realizations and len(kept):
         return Cone(directions, _batch_realizations(desc, a, directions, rho_max))
     return Cone(directions, np.full(len(kept), math.nan))
 

@@ -458,8 +458,9 @@ def check_boundary_projection_uniqueness(
 
     Boundary points of the envelope are located by membership-flip bisection
     along segments between member and non-member probes (400 uniform probes
-    of the box); the bisection keeps its member end, so every located point
-    is a member and enters the quantifier unless it lies in the set.
+    of the box); the bisection keeps its member end, so every endpoint is a
+    member.  Endpoints in the set are skipped; ``located_boundary_points``
+    counts the endpoints the quantifier tested.
     """
     desc = ctx.desc
     rng = np.random.default_rng(seed)
@@ -479,9 +480,9 @@ def check_boundary_projection_uniqueness(
         p_in = inside[int(rng.integers(inside.shape[0]))]
         p_out = outside[int(rng.integers(outside.shape[0]))]
         x_star, _ = bisect(lambda p: in_capped_envelope(ctx, p), p_in, p_out, steps=60)
-        located += 1
         if desc.contains(x_star):
             continue
+        located += 1
         proj = desc.project(x_star)
         if proj.multiplicity > 1:
             violations.append(

@@ -1,13 +1,17 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from extsphere.geom import INF, GeometryError
+from extsphere.geom import INF, GeometryError, normalized
 from extsphere.proximal import (
+    RHO_MIN,
     NotRealizedError,
     RadiusField,
+    _direction_grid,
     capped_realization_radius,
+    default_density,
     directional_distance,
     first_boundary_return,
     is_proximal_normal,
@@ -15,7 +19,12 @@ from extsphere.proximal import (
     realization_radius,
     sample_unit_normals,
 )
+from extsphere.scene import load_scene, parse_scene
+from extsphere.sets import (
+    AffineSubspace, ClosedBall, ClosedSetDesc, HalfSpace, Intersection, Union, owning_leaves,
+)
 from conftest import make_halfplane
+from test_golden import CUBELINE, POLYDISK, SCENES
 
 SQ2 = math.sqrt(2.0)
 
@@ -165,6 +174,99 @@ class TestSampledCone:
         down = cone.realizations[cone.directions[:, 1] < 0]
         assert up[0] == pytest.approx(2.0, abs=1e-6)
         assert down[0] == INF
+
+
+def _pentagon_vertex():
+    """A pentagon of inradius 1 united with a small disk, and the vertex
+    between its faces 0 and 1."""
+    normals = np.array([
+        (math.cos(2 * math.pi * (i + 0.3) / 5), math.sin(2 * math.pi * (i + 0.3) / 5)) for i in range(5)
+    ])
+    desc = ClosedSetDesc(
+        Union([
+            Intersection([HalfSpace(n, 1.0, label=f"face{i}") for i, n in enumerate(normals)]),
+            ClosedBall((4, 4), 0.5, label="disk"),
+        ]),
+        box=((-6, -6), (6, 6)),
+        name="pentagon",
+    )
+    return desc, np.linalg.solve(normals[:2], np.ones(2))
+
+
+def _line_point():
+    """A line in 3D and a point on it."""
+    desc = ClosedSetDesc(
+        AffineSubspace((0.1, 0.2, 0.3), [(0.3, 0.5, 0.8)], label="line"),
+        box=((-8, -8, -8), (8, 8, 8)),
+        name="line3d",
+    )
+    return desc, np.array([0.1, 0.2, 0.3])
+
+
+def _golden_scene(name):
+    texts = {"polydisk": POLYDISK, "cubeline": CUBELINE}
+    if name in texts:
+        return parse_scene(texts[name], name=name)
+    return load_scene(os.path.join(SCENES, f"{name}.scene"))
+
+
+def _assert_rows_are_sampled_directions(desc, a, density, extra=()):
+    """Every cone row equals, bit for bit, a row of the direction grid, a
+    normal of a leaf owning a, or a (normalized) extra direction."""
+    cone = sample_unit_normals(desc, a, density=density, extra_directions=extra, with_realizations=False)
+    grid, _ = _direction_grid(desc.dim, density)
+    owners = owning_leaves(desc.leaves, a, desc.cluster_tol)
+    leaf_normals = [d for leaf in owners for d in leaf.normal_directions(a)]
+    candidates = leaf_normals + [normalized(d) for d in extra]
+    sources = np.concatenate([grid, np.reshape(candidates, (-1, desc.dim))])
+    for row in cone.directions:
+        assert (sources == row).all(axis=1).any(), f"row {row.tolist()} at {a.tolist()} is not sampled"
+    return cone
+
+
+class TestConeRowsAreSampledDirections:
+    @pytest.mark.parametrize("name", [
+        "strip", "lineplane", "ball", "ballcomplement", "halfplane", "pointset", "polydisk", "cubeline",
+    ])
+    def test_golden_scene_boundary_samples(self, name):
+        scene = _golden_scene(name)
+        desc = scene.desc
+        density = scene.samples.density or default_density(desc.dim)
+        extra = [np.arange(1.0, desc.dim + 1.0)]
+        for a, _ in desc.sample_boundary(8 if desc.dim == 2 else 4, seed=scene.samples.seed):
+            _assert_rows_are_sampled_directions(desc, a, density)
+            _assert_rows_are_sampled_directions(desc, a, density, extra)
+
+    def test_pentagon_vertex(self):
+        desc, vertex = _pentagon_vertex()
+        cone = _assert_rows_are_sampled_directions(desc, vertex, 720)
+        assert len(cone) > 0
+
+    def test_line_point(self):
+        desc, a = _line_point()
+        cone = _assert_rows_are_sampled_directions(desc, a, default_density(3))
+        assert len(cone) > 0
+
+
+class TestConeGeometry:
+    def test_pentagon_vertex_rows_half_a_step_apart(self):
+        desc, vertex = _pentagon_vertex()
+        density = 720
+        dirs = sample_unit_normals(desc, vertex, density=density, with_realizations=False).directions
+        cosines = dirs @ dirs.T
+        np.fill_diagonal(cosines, -1.0)
+        closest = math.acos(min(1.0, float(cosines.max())))
+        assert closest >= 0.5 * 2.0 * math.pi / density
+
+    def test_line_point_cone_is_its_normal_circle(self):
+        # A grid row at angle t off the normal circle has a RHO_MIN margin
+        # of about -RHO_MIN * t^2 / 2, so a row within the noise band is
+        # within sqrt(2 * margin_noise / RHO_MIN) of perpendicular.
+        desc, a = _line_point()
+        cone = sample_unit_normals(desc, a, with_realizations=False)
+        assert len(cone) > 0
+        axis = normalized(np.array([0.3, 0.5, 0.8]))
+        assert np.abs(cone.directions @ axis).max() <= math.sqrt(2.0 * desc.margin_noise / RHO_MIN)
 
 
 class TestSampledConeProperties:
