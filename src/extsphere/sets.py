@@ -484,6 +484,10 @@ class Slab(Primitive):
         return None
 
 
+# Directions on the unit normal circle of a line in space.
+LINE_NORMAL_SAMPLES = 80
+
+
 @dataclass(eq=False)
 class AffineSubspace(Primitive):
     """point + span(basis); lines and planes (and single points via empty basis)."""
@@ -574,15 +578,19 @@ class AffineSubspace(Primitive):
         return np.asarray(out)
 
     def normal_directions(self, a):
+        if self.subspace_dim == 0:
+            return []  # a point: every grid direction is a normal
+        nrm = np.eye(self.dim) - self.basis.T @ self.basis
+        u = next(nrm[:, c] / norm(nrm[:, c]) for c in range(self.dim) if norm(nrm[:, c]) > 1e-9)
         if self.dim - self.subspace_dim == 1:
             # A hyperplane inside the ambient space: two opposite normals.
-            nrm = np.eye(self.dim) - self.basis.T @ self.basis
-            for col in range(self.dim):
-                v = nrm[:, col]
-                if norm(v) > 1e-9:
-                    v = v / norm(v)
-                    return [v, -v]
-        return []
+            return [u, -u]
+        # A line in space: its unit normal circle, sampled at about the
+        # neighbour spacing (0.08 rad) of the 2000-direction 3D grid.  Few
+        # grid directions lie within the margin noise of the circle.
+        v = np.cross(self.basis[0], u)
+        t = 2.0 * math.pi * np.arange(LINE_NORMAL_SAMPLES) / LINE_NORMAL_SAMPLES
+        return list(np.outer(np.cos(t), u) + np.outer(np.sin(t), v))
 
     def finite_extent(self):
         if self.subspace_dim == 0:

@@ -12,8 +12,35 @@ from extsphere.proximal import (
     realization_radius,
     sample_unit_normals,
 )
+from extsphere.scene import parse_scene
 from extsphere.sconvex import is_s_convex, normal_segments
 from extsphere.sets import AffineSubspace, ClosedBall, ClosedSetDesc, HalfSpace, Union
+
+
+# The cube-plus-line scene of the polytope-check workload at seed 7.  Its
+# one line sample has a normal circle with no grid direction within the
+# margin noise of it.
+CUBE_LINE = """
+[scene]
+name = cube-line
+dim = 3
+bbox = (-5.0, -5.0, -5.0) (5.0, 5.0, 5.0)
+combine = union
+
+[set]
+other = line(point=(0.4103631953663058, -0.9128625449595387, -1.0550312336643033), direction=(0.6551727168610568, -0.5129104870075195, 0.5546814792280436))
+poly = intersection(halfspace(normal=(0.14686023675512527, -0.6337371801072775, -0.759479596440816), offset=0.6900556666711175), halfspace(normal=(0.6551727168610568, -0.5129104870075195, 0.5546814792280436), offset=0.9318692567933446), halfspace(normal=(-0.7410673261864471, -0.579050963963782, 0.339881154510639), offset=0.6459019469272103), halfspace(normal=(-0.14686023675512527, 0.6337371801072775, 0.759479596440816), offset=0.8699443333288825), halfspace(normal=(-0.6551727168610568, 0.5129104870075195, -0.5546814792280436), offset=0.6281307432066554), halfspace(normal=(0.7410673261864471, 0.579050963963782, -0.339881154510639), offset=0.9140980530727898))
+
+[radius]
+poly = 5.0
+other = 5.0
+
+[samples]
+seed = 7
+boundary_samples = 10
+rho_max = 100
+delta_list = 1 10
+"""
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +94,19 @@ def test_directional_distance_hits_a_line_in_space():
     )
     assert directional_distance(desc, (0, 2, 0), (0, -1, 0), 10.0) == pytest.approx(2.0)
     assert directional_distance(desc, (0, 2, 0), (0, 1, 0), 10.0) == INF
+
+
+def test_line_sample_is_tested():
+    # The cube lies 0.75 from the line, so the line's normals toward it are
+    # realized below the required radius 5: the forall check must test the
+    # line sample and find the violation there, not hold vacuously.
+    scene = parse_scene(CUBE_LINE, name="cube-line")
+    report = check_extended_condition(
+        scene.desc, scene.radius_field, boundary_samples=10, seed=7, rho_max=100.0
+    )
+    (line,) = [rec for rec in report.records if rec.label == "other"]
+    assert line.normals_tested > 0
+    assert not line.ok and line.certificate is not None
 
 
 def test_sconvexity_in_space(ball3d):

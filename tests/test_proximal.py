@@ -21,7 +21,8 @@ from extsphere.proximal import (
 )
 from extsphere.scene import load_scene, parse_scene
 from extsphere.sets import (
-    AffineSubspace, ClosedBall, ClosedSetDesc, HalfSpace, Intersection, Union, owning_leaves,
+    LINE_NORMAL_SAMPLES, AffineSubspace, ClosedBall, ClosedSetDesc, HalfSpace, Intersection, Union,
+    owning_leaves,
 )
 from conftest import make_halfplane
 from test_golden import CUBELINE, POLYDISK, SCENES
@@ -193,14 +194,31 @@ def _pentagon_vertex():
     return desc, np.linalg.solve(normals[:2], np.ones(2))
 
 
-def _line_point():
-    """A line in 3D and a point on it."""
+# Lines in 3D, each as (point, direction, half box side, a point on it).
+# The second is the rail of the cube-plus-line scene of the polytope-check
+# workload at seed 7, at its one boundary sample: no grid direction lies
+# within the margin noise of the normal circle there.  The third is the rail
+# of the golden cubeline scene.
+LINES_3D = [
+    ((0.1, 0.2, 0.3), (0.3, 0.5, 0.8), 8.0, (0.1, 0.2, 0.3)),
+    (
+        (0.4103631953663058, -0.9128625449595387, -1.0550312336643033),
+        (0.6551727168610568, -0.5129104870075195, 0.5546814792280436),
+        5.0,
+        (-2.4287845835866646, 1.309801238975026, -3.458706858805791),
+    ),
+    ((0, 0, 2), (1, 1, 0), 3.0, (0.4, 0.4, 2)),
+]
+
+
+def _line_point(point, direction, half, a):
+    """A line in 3D, a point on it and the line's unit direction."""
     desc = ClosedSetDesc(
-        AffineSubspace((0.1, 0.2, 0.3), [(0.3, 0.5, 0.8)], label="line"),
-        box=((-8, -8, -8), (8, 8, 8)),
+        AffineSubspace(point, [direction], label="line"),
+        box=((-half,) * 3, (half,) * 3),
         name="line3d",
     )
-    return desc, np.array([0.1, 0.2, 0.3])
+    return desc, np.asarray(a, dtype=float), normalized(np.asarray(direction, dtype=float))
 
 
 def _golden_scene(name):
@@ -242,8 +260,9 @@ class TestConeRowsAreSampledDirections:
         cone = _assert_rows_are_sampled_directions(desc, vertex, 720)
         assert len(cone) > 0
 
-    def test_line_point(self):
-        desc, a = _line_point()
+    @pytest.mark.parametrize("line", LINES_3D)
+    def test_line_point(self, line):
+        desc, a, _ = _line_point(*line)
         cone = _assert_rows_are_sampled_directions(desc, a, default_density(3))
         assert len(cone) > 0
 
@@ -258,15 +277,20 @@ class TestConeGeometry:
         closest = math.acos(min(1.0, float(cosines.max())))
         assert closest >= 0.5 * 2.0 * math.pi / density
 
-    def test_line_point_cone_is_its_normal_circle(self):
+    @pytest.mark.parametrize("line", LINES_3D)
+    def test_line_point_cone_is_its_normal_circle(self, line):
         # A grid row at angle t off the normal circle has a RHO_MIN margin
         # of about -RHO_MIN * t^2 / 2, so a row within the noise band is
-        # within sqrt(2 * margin_noise / RHO_MIN) of perpendicular.
-        desc, a = _line_point()
-        cone = sample_unit_normals(desc, a, with_realizations=False)
-        assert len(cone) > 0
-        axis = normalized(np.array([0.3, 0.5, 0.8]))
-        assert np.abs(cone.directions @ axis).max() <= math.sqrt(2.0 * desc.margin_noise / RHO_MIN)
+        # within sqrt(2 * margin_noise / RHO_MIN) of perpendicular.  The
+        # line's own circle sample leaves no gap wider than its spacing.
+        desc, a, axis = _line_point(*line)
+        dirs = sample_unit_normals(desc, a, with_realizations=False).directions
+        assert len(dirs) >= LINE_NORMAL_SAMPLES
+        assert np.abs(dirs @ axis).max() <= math.sqrt(2.0 * desc.margin_noise / RHO_MIN)
+        u = normalized(np.cross(axis, dirs[0]))
+        angles = np.sort(np.arctan2(dirs @ u, dirs @ np.cross(u, axis)))
+        gaps = np.diff(np.append(angles, angles[0] + 2.0 * math.pi))
+        assert gaps.max() <= 2.0 * math.pi / LINE_NORMAL_SAMPLES * (1.0 + 1e-9)
 
 
 class TestSampledConeProperties:
