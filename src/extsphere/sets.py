@@ -9,14 +9,17 @@ classification, boundary sampling with component labels, ray-membership
 intervals, and an independent grid/point-cloud brute-force oracle.
 
 Version-1 restriction: intersections must have convex leaves only, so their
-projections stay certifiable (Dykstra's alternating projections converge to
-the true closest point).  General intersections are rejected at load.
+projections are exact: the closest point is the nearest feasible one among
+finitely many active-set candidates (see ``Intersection``).  General
+intersections are rejected at load.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +58,8 @@ class Primitive:
     (membership, interior, distance, labeled projection candidates, ray
     intervals, regularization, ``leaves``, ``convex``).  Tolerances arrive as
     arguments and are never stored on a node, because nodes are shared
-    between descriptions; leaves ignore the ones only intersections need
-    (``tol`` for membership, ``stop`` for Dykstra's iteration).
+    between descriptions; leaves ignore ``tol``, the membership tolerance
+    that only intersections need.
     """
 
     label: str
@@ -73,7 +76,7 @@ class Primitive:
     def interior_many(self, P: np.ndarray, tol: float) -> np.ndarray:
         raise NotImplementedError
 
-    def distance_many(self, P: np.ndarray, tol: float = 0.0, stop: float = 0.0) -> np.ndarray:
+    def distance_many(self, P: np.ndarray, tol: float = 0.0) -> np.ndarray:
         raise NotImplementedError
 
     def boundary_distance_many(self, P: np.ndarray) -> np.ndarray:
@@ -90,7 +93,7 @@ class Primitive:
         """Whether the closest points returned for x are certified."""
         return True
 
-    def labeled_candidates(self, x, tol: float, cluster_tol: float, stop: float) -> list[tuple]:
+    def labeled_candidates(self, x, tol: float, cluster_tol: float) -> list[tuple]:
         """Candidate closest points, each with provenance labels and an exact flag."""
         exact = self.projection_exact(x)
         return [(p, (self.label,), exact) for p in self.projection_candidates(x)]
@@ -166,7 +169,7 @@ class HalfSpace(Primitive):
     def interior_many(self, P, tol):
         return self._gap(P) < -tol
 
-    def distance_many(self, P, tol=0.0, stop=0.0):
+    def distance_many(self, P, tol=0.0):
         return np.maximum(0.0, self._gap(P))
 
     def boundary_distance_many(self, P):
@@ -254,7 +257,7 @@ class ClosedBall(Primitive):
     def interior_many(self, P, tol):
         return self._r(P) < self.radius - tol
 
-    def distance_many(self, P, tol=0.0, stop=0.0):
+    def distance_many(self, P, tol=0.0):
         return np.maximum(0.0, self._r(P) - self.radius)
 
     def boundary_distance_many(self, P):
@@ -331,7 +334,7 @@ class BallComplement(Primitive):
     def interior_many(self, P, tol):
         return self._r(P) > self.radius + tol
 
-    def distance_many(self, P, tol=0.0, stop=0.0):
+    def distance_many(self, P, tol=0.0):
         return np.maximum(0.0, self.radius - self._r(P))
 
     def boundary_distance_many(self, P):
@@ -431,7 +434,7 @@ class Slab(Primitive):
         g = self._g(P)
         return (g > self.lo + tol) & (g < self.hi - tol)
 
-    def distance_many(self, P, tol=0.0, stop=0.0):
+    def distance_many(self, P, tol=0.0):
         g = self._g(P)
         return np.maximum(0.0, np.maximum(g - self.hi, self.lo - g))
 
@@ -528,7 +531,7 @@ class AffineSubspace(Primitive):
     def interior_many(self, P, tol):
         return np.zeros(P.shape[0], dtype=bool)
 
-    def distance_many(self, P, tol=0.0, stop=0.0):
+    def distance_many(self, P, tol=0.0):
         return np.linalg.norm(self._residual(P), axis=1)
 
     def boundary_distance_many(self, P):
@@ -622,7 +625,7 @@ class FinitePointSet(Primitive):
     def interior_many(self, P, tol):
         return np.zeros(P.shape[0], dtype=bool)
 
-    def distance_many(self, P, tol=0.0, stop=0.0):
+    def distance_many(self, P, tol=0.0):
         return self._dists(P).min(axis=1)
 
     def boundary_distance_many(self, P):
@@ -690,14 +693,14 @@ class Union:
             out |= child.interior_many(P, tol)
         return out
 
-    def distance_many(self, P, tol, stop):
-        vals = [child.distance_many(P, tol, stop) for child in self.children]
+    def distance_many(self, P, tol):
+        vals = [child.distance_many(P, tol) for child in self.children]
         return np.min(np.stack(vals, axis=0), axis=0)
 
-    def labeled_candidates(self, x, tol, cluster_tol, stop):
+    def labeled_candidates(self, x, tol, cluster_tol):
         out = []
         for child in self.children:
-            out.extend(child.labeled_candidates(x, tol, cluster_tol, stop))
+            out.extend(child.labeled_candidates(x, tol, cluster_tol))
         return out
 
     def ray_intervals(self, x, d, snap):
@@ -712,6 +715,133 @@ class Union:
         if not kept:
             return None
         return kept[0] if len(kept) == 1 else Union(kept)
+
+
+# Candidates (rows x active subsets) worked on at once by an intersection.
+_CANDIDATE_BUDGET = 1 << 16
+
+
+def _sq_rows(W) -> np.ndarray:
+    """Squared norms along the last axis, summed per coordinate, so that a
+    row's value does not depend on the other rows of the batch."""
+    out = W[..., 0] * W[..., 0]
+    for k in range(1, W.shape[-1]):
+        out = out + W[..., k] * W[..., k]
+    return out
+
+
+@dataclass
+class _ActiveSets:
+    """Projection tables of an intersection, one row k per active subset.
+
+    The projection onto the subset's flat L is ``A[k] x + q[k]``.  Subsets
+    with a sphere also hold the centre ``center[k]`` and radius
+    ``radius[k]`` of that sphere's section by L (``sphere[k]`` is True).
+    """
+
+    A: np.ndarray  # (K, d, d)
+    q: np.ndarray  # (K, d)
+    sphere: np.ndarray  # (K,) bool
+    center: np.ndarray  # (K, d)
+    radius: np.ndarray  # (K,)
+
+    def candidates(self, X) -> np.ndarray:
+        """(m, K, d) candidates of the rows X: the projection onto each flat,
+        moved onto the section sphere where the subset has one.
+
+        Written per coordinate, so a row's candidates do not depend on the
+        other rows of the batch.
+        """
+        Y = np.broadcast_to(self.q, (X.shape[0],) + self.q.shape).copy()
+        for j in range(X.shape[1]):
+            Y += X[:, None, None, j] * self.A[None, :, :, j]
+        s = self.sphere
+        if s.any():
+            # The nearest section point; at the section centre every point
+            # ties, which a unique projection rules out, so the centre itself
+            # (feasible or not, never nearer than the set) stands in.
+            W = Y[:, s] - self.center[s]
+            wn = np.sqrt(_sq_rows(W))
+            scale = np.where(wn > 0.0, self.radius[s] / np.where(wn > 0.0, wn, 1.0), 0.0)
+            Y[:, s] = self.center[s] + scale[..., None] * W
+        return Y
+
+
+def _active_sets(children) -> _ActiveSets:
+    """Projection tables for an intersection of convex leaves.
+
+    Pieces: a half-space is a plane, a slab two planes, a ball a sphere; an
+    affine subspace or a single point is an equality flat E, always active.
+    For every subset S of at most dim(E) pieces, the flat L is E cut by the
+    planes of S and by the radical planes of the spheres of S against the
+    first one.  Subsets whose constraint rows are dependent are skipped.
+    By conic Caratheodory on the KKT multipliers, the closest point of the
+    intersection is the projection onto L of some subset without a sphere,
+    or the point of the sphere's section by L nearest to that projection.
+    The farthest section point is never needed: the closest point is also
+    the closest point of the convex set cut out by S alone, which holds the
+    whole section.
+    """
+    dim = children[0].dim
+    eq_rows, eq_rhs, planes, spheres = [], [], [], []
+    for child in children:
+        if isinstance(child, HalfSpace):
+            planes.append((child.normal, child.offset))
+        elif isinstance(child, Slab):
+            planes += [(child.normal, child.hi), (-child.normal, -child.lo)]
+        elif isinstance(child, ClosedBall):
+            spheres.append((child.center, child.radius))
+        elif isinstance(child, AffineSubspace):
+            normals = np.linalg.svd(np.eye(dim) - child.basis.T @ child.basis)[0]
+            normals = normals[:, : dim - child.subspace_dim].T
+            eq_rows += list(normals)
+            eq_rhs += list(normals @ child.point)
+        elif isinstance(child, FinitePointSet) and child.convex:
+            eq_rows += list(np.eye(dim))
+            eq_rhs += list(child.points[0])
+        else:
+            raise SetError(f"intersection child {child.label!r} is not a convex leaf")
+    # E as independent orthonormal rows; inconsistent flats give the
+    # least-squares flat, whose candidates then fail membership.
+    if eq_rows:
+        G, h = np.asarray(eq_rows), np.asarray(eq_rhs)
+        rank = int(np.linalg.matrix_rank(G))
+        E = np.linalg.svd(G)[2][:rank]
+        e_rhs = E @ np.linalg.lstsq(G, h, rcond=None)[0]
+    else:
+        E, e_rhs = np.zeros((0, dim)), np.zeros(0)
+    pieces = [(False, n, b) for n, b in planes] + [(True, c, r) for c, r in spheres]
+    tables = []
+    for size in range(dim - E.shape[0] + 1):
+        for subset in itertools.combinations(pieces, size):
+            rows, rhs = list(E), list(e_rhs)
+            balls = [(c, r) for is_ball, c, r in subset if is_ball]
+            for is_ball, n, b in subset:
+                if not is_ball:
+                    rows.append(n)
+                    rhs.append(b)
+            for c, r in balls[1:]:
+                c1, r1 = balls[0]
+                rows.append(2.0 * (c - c1))
+                rhs.append(float(c @ c - c1 @ c1) - r * r + r1 * r1)
+            M = np.asarray(rows).reshape(-1, dim)
+            if np.linalg.matrix_rank(M) < M.shape[0]:
+                continue
+            pinv = np.linalg.pinv(M)
+            A = np.eye(dim) - pinv @ M
+            q = pinv @ np.asarray(rhs, dtype=float)
+            center, radius = np.zeros(dim), 0.0
+            if balls:
+                c1, r1 = balls[0]
+                center = A @ c1 + q
+                r_sq = r1 * r1 - float((c1 - center) @ (c1 - center))
+                if r_sq < 0.0:
+                    continue
+                radius = math.sqrt(r_sq)
+            tables.append((A, q, bool(balls), center, radius))
+    A, q, sphere, center, radius = zip(*tables)
+    return _ActiveSets(np.asarray(A), np.asarray(q), np.asarray(sphere),
+                       np.asarray(center), np.asarray(radius))
 
 
 @dataclass(eq=False)
@@ -744,36 +874,56 @@ class Intersection:
             out &= child.interior_many(P, tol)
         return out
 
-    def _dykstra(self, x, tol, stop):
-        """Dykstra's alternating projections onto convex leaves.
+    @cached_property
+    def _tables(self) -> _ActiveSets:
+        return _active_sets(self.children)
 
-        Returns (point, distance, converged).  Seeded at x itself; for convex
-        children the iterates converge to the true closest point.
+    def _project_many(self, P, tol):
+        """Closest points, distances and exact flags of the rows of P.
+
+        Rows inside stay where they are.  Every other row takes the nearest
+        of its active-set candidates that all children contain within tol.
+        Each feasible candidate lies in the set, and the true closest point
+        is among the candidates, so the nearest feasible one is it.  A row
+        without a feasible candidate takes its least-violating candidate and
+        is flagged inexact.
         """
-        if bool(self.contains_many(x[None, :], tol)[0]):
-            return x.copy(), 0.0, True
-        p = x.copy()
-        corrections = [np.zeros(x.shape[0]) for _ in self.children]
-        converged = False
-        for _ in range(20000):
-            prev = p.copy()
-            for i, child in enumerate(self.children):
-                z = child.project_point(p + corrections[i])
-                corrections[i] = p + corrections[i] - z
-                p = z
-            if norm(p - prev) <= stop:
-                converged = True
-                break
-        return p, norm(p - x), converged
+        n, dim = P.shape
+        points, dist, exact = P.copy(), np.zeros(n), np.ones(n, dtype=bool)
+        outside = np.flatnonzero(~self.contains_many(P, tol))
+        table = self._tables
+        K = table.q.shape[0]
+        step = max(1, _CANDIDATE_BUDGET // K)
+        for start in range(0, outside.size, step):
+            rows = outside[start : start + step]
+            X = P[rows]
+            Y = table.candidates(X)
+            flat = Y.reshape(-1, dim)
+            feasible = self.contains_many(flat, tol).reshape(rows.size, K)
+            D = np.sqrt(_sq_rows(Y - X[:, None, :]))
+            pick = np.argmin(np.where(feasible, D, INF), axis=1)
+            found = feasible.any(axis=1)
+            if not found.all():
+                violation = np.zeros(flat.shape[0])
+                for child in self.children:
+                    violation = np.maximum(violation, child.distance_many(flat))
+                violation = violation.reshape(rows.size, K)
+                pick = np.where(found, pick, np.argmin(violation, axis=1))
+            take = np.arange(rows.size)
+            points[rows] = Y[take, pick]
+            dist[rows] = D[take, pick]
+            exact[rows] = found
+        return points, dist, exact
 
-    def distance_many(self, P, tol, stop):
-        return np.asarray([self._dykstra(x, tol, stop)[1] for x in P])
+    def distance_many(self, P, tol):
+        return self._project_many(P, tol)[1]
 
-    def labeled_candidates(self, x, tol, cluster_tol, stop):
-        p, _, converged = self._dykstra(x, tol, stop)
+    def labeled_candidates(self, x, tol, cluster_tol):
+        points, _, exact = self._project_many(x[None, :], tol)
+        p = points[0]
         labels = boundary_labels_of_leaves(self.children, p, cluster_tol)
         label = labels if labels else tuple(child.label for child in self.children)
-        return [(p, label, converged)]
+        return [(p, label, bool(exact[0]))]
 
     def ray_intervals(self, x, d, snap):
         out = IntervalSet.whole(0.0)
@@ -824,11 +974,12 @@ class GridOracle:
     Holds a membership-classified grid cloud for full-dimensional leaves plus
     dense parametric clouds for thin leaves (affine subspaces, point sets),
     so the distance it reports never depends on the analytic projection
-    formulas being tested.
+    formulas being tested.  It keeps no reference to the description, which
+    caches it: without that cycle, a dropped description frees its grids at
+    once instead of at the next garbage collection.
     """
 
     def __init__(self, desc: "ClosedSetDesc"):
-        self.desc = desc
         lo, hi = desc.box
         dim = desc.dim
         self.h = desc.diameter / (512.0 if dim == 2 else 128.0)
@@ -941,8 +1092,6 @@ class ClosedSetDesc:
         self.cluster_tol = 1e-6 * self.diameter
         # Float noise of realization margins near the tangent-sphere threshold.
         self.margin_noise = 5e-14 * max(1.0, self.diameter)
-        # Dykstra stops once a sweep moves the iterate by at most this.
-        self.dykstra_tol = max(1e-13, 1e-12 * self.diameter)
         self._oracle: GridOracle | None = None
         self._regularized = "unset"
 
@@ -1011,7 +1160,7 @@ class ClosedSetDesc:
 
     def distance_many(self, P) -> np.ndarray:
         P = _as_points(P, self.dim)
-        return self.root.distance_many(P, self.membership_tol, self.dykstra_tol)
+        return self.root.distance_many(P, self.membership_tol)
 
     def distance(self, x) -> float:
         return float(self.distance_many(np.asarray(x, dtype=float)[None, :])[0])
@@ -1022,7 +1171,7 @@ class ClosedSetDesc:
             labels = self.boundary_labels_at(x)
             return ProjectionResult([x.copy()], [labels], 0.0, "exact")
         tol = self.cluster_tol
-        raw = self.root.labeled_candidates(x, self.membership_tol, tol, self.dykstra_tol)
+        raw = self.root.labeled_candidates(x, self.membership_tol, tol)
         dist = min(norm(x - p) for p, _, _ in raw)
         near = [(p, lab, ex) for p, lab, ex in raw if norm(x - p) <= dist + tol]
         clusters: list[list] = []

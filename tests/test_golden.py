@@ -90,7 +90,7 @@ delta_list = 1 10
 
 INTERSECTION_CASES = {
     ("polydisk", "check"): (POLYDISK, ["--samples", "12"], "e207948af49ad9a9"),
-    ("polydisk", "cover"): (POLYDISK, ["--points", "(1.05, 0) (0, -1.02) (0.8, 0.8)"], "209b2bf09a7c9651"),
+    ("polydisk", "cover"): (POLYDISK, ["--points", "(1.05, 0) (0, -1.02) (0.8, 0.8)"], "d96cf836be29ec9a"),
     ("cubeline", "check"): (CUBELINE, ["--samples", "6"], "2a3d59969b47b635"),
 }
 
@@ -192,3 +192,12 @@ def test_intersection_digest(tmp_path, capsys, name, command):
     path.write_text(text)
     actual = _payload(tmp_path, command, str(path), extra)["digest"]
     assert actual == pinned, _explain(name, command, actual, pinned)
+
+
+def test_polydisk_harness_is_consistent(tmp_path, capsys):
+    # The harness projects onto the polygon at every uniqueness ray and
+    # envelope test, so it runs in seconds only with the exact projection.
+    path = tmp_path / "polydisk.scene"
+    path.write_text(POLYDISK)
+    payload = _payload(tmp_path, "harness", str(path))
+    assert payload["consistent"] is True

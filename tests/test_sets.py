@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from extsphere.sets import (
     BallComplement,
     ClosedBall,
     ClosedSetDesc,
+    FinitePointSet,
     HalfSpace,
     Intersection,
     SetError,
@@ -162,20 +165,8 @@ class TestBoundarySampling:
         assert len({tuple(p) for p, _ in samples}) == len(samples) == 40
 
 
-# Dykstra stops once the iterate repeats over one sweep, even while its
-# corrections still move: from (1.53, 3.39) it stops at the cut facet's
-# foot (0.75, 0.75), 2.756 away, and flags it converged; the vertex
-# (0.5, 1) is 2.605 away.  Ten of the thousand probes miss by up to 0.17.
-DYKSTRA_EARLY_STOP = pytest.mark.xfail(
-    strict=True, reason="Dykstra stop rule ignores the corrections (open defect)"
-)
-
-
 class TestGridOracle:
-    @pytest.mark.parametrize("maker", [
-        make_strip, make_lineplane, make_ball,
-        pytest.param(make_polydisk, marks=DYKSTRA_EARLY_STOP),
-    ])
+    @pytest.mark.parametrize("maker", [make_strip, make_lineplane, make_ball, make_polydisk])
     def test_analytic_distance_matches_grid(self, maker):
         fix = maker()
         desc = fix.desc
@@ -199,6 +190,19 @@ class TestGridOracle:
         analytic = quad.distance_many(pts)
         brute = oracle.distance_many(pts)
         assert np.all(np.abs(brute - analytic) <= 2 * oracle.h)
+
+    def test_dropped_description_frees_its_oracle(self):
+        # Grids are the largest arrays a scene holds; freeing them must not
+        # wait for a collection.
+        desc = make_ball().desc
+        assert desc.oracle.cloud.size
+        ref = weakref.ref(desc)
+        gc.disable()
+        try:
+            del desc
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_membership_bitmap_consistent(self, strip):
         oracle = strip.desc.oracle
@@ -284,6 +288,128 @@ class TestIntersection:
                 ]),
                 box=((-4, -4), (4, 4)),
             )
+
+
+def _regular_polygon(k: int) -> tuple:
+    """Regular k-gon of circumradius 1.4: (desc, vertices, facet normals)."""
+    radius = 1.4
+    ang = 2.0 * math.pi * np.arange(k) / k
+    verts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    mid = (2.0 * np.arange(k) + 1.0) * math.pi / k
+    normals = np.stack([np.cos(mid), np.sin(mid)], axis=1)
+    offset = radius * math.cos(math.pi / k)
+    desc = ClosedSetDesc(
+        Intersection([HalfSpace(n, offset, label=f"f{i}") for i, n in enumerate(normals)]),
+        box=((-6, -6), (6, 6)),
+    )
+    return desc, verts, normals
+
+
+def _lens_2d():
+    return Intersection([ClosedBall((0, 0), 2.0, label="disk"), HalfSpace((0.3, 1), 0.5, label="cut")])
+
+
+def _two_disks():
+    return Intersection([ClosedBall((-0.8, 0), 1.5, label="left"), ClosedBall((0.8, 0.2), 1.4, label="right")])
+
+
+def _ball_slab():
+    return Intersection([
+        ClosedBall((0, 0, 0), 1.5, label="ball"), Slab((0.2, 0, 1), -0.5, 0.7, label="slab"),
+    ])
+
+
+def _two_balls_halfspace():
+    return Intersection([
+        ClosedBall((-0.7, 0, 0), 1.5, label="left"),
+        ClosedBall((0.7, 0.1, 0), 1.4, label="right"),
+        HalfSpace((0, 1, 0.2), 0.4, label="cut"),
+    ])
+
+
+def _line_ball():
+    return Intersection([
+        AffineSubspace((0, 0.3, 0.1), [(1, 1, 0.5)], label="line"),
+        ClosedBall((0, 0, 0), 1.5, label="ball"),
+    ])
+
+
+def _cube():
+    return Intersection([
+        HalfSpace(n, 1.0, label=f"face{i}")
+        for i, n in enumerate(np.concatenate([np.eye(3), -np.eye(3)]))
+    ])
+
+
+BOX_2D = ((-3, -3), (3, 3))
+BOX_3D = ((-2.5, -2.5, -2.5), (2.5, 2.5, 2.5))
+
+
+class TestExactIntersection:
+    """The active-set projection against brute force and its own one-row calls."""
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_facet_normal_probes_are_exact(self, k):
+        # A facet point pushed out along its facet normal is exactly rho away.
+        desc, verts, normals = _regular_polygon(k)
+        for f in range(k):
+            for t in np.arange(1, 10) / 10.0:
+                a = (1.0 - t) * verts[f] + t * verts[(f + 1) % k]
+                for rho in (1, 3, 10, 30, 60, 100):
+                    x = a + rho * normals[f]
+                    assert abs(desc.distance(x) - rho) <= 1e-9 * rho
+                    assert desc.contains(desc.project(x).points[0])
+
+    @pytest.mark.parametrize("make,box", [
+        pytest.param(_lens_2d, BOX_2D, id="disk-halfplane"),
+        pytest.param(_two_disks, BOX_2D, id="disk-disk"),
+        pytest.param(_ball_slab, BOX_3D, id="ball-slab"),
+        pytest.param(_two_balls_halfspace, BOX_3D, id="ball-ball-halfspace"),
+        pytest.param(_line_ball, BOX_3D, id="line-ball"),
+        pytest.param(_cube, BOX_3D, id="cube"),
+    ])
+    def test_candidate_kinds(self, make, box):
+        node = make()
+        desc = ClosedSetDesc(node, box=box)
+        oracle = desc.oracle
+        lo, hi = desc.box
+        pts = np.random.default_rng(29).uniform(lo, hi, size=(1000, desc.dim))
+        dist = desc.distance_many(pts)
+        assert np.all(np.abs(oracle.distance_many(pts) - dist) <= 2 * oracle.h)
+        for x in pts:
+            proj = desc.project(x)
+            assert proj.exactness == "exact"
+            assert all(desc.contains(p) for p in proj.points)
+        tol = desc.membership_tol
+        rows = np.concatenate([node.distance_many(x[None, :], tol) for x in pts])
+        for m in (1, 2, 7, 1000):
+            assert np.array_equal(node.distance_many(pts[:m], tol), rows[:m])
+        # Large batches are worked on in chunks of rows (several for the cube).
+        assert np.array_equal(node.distance_many(np.tile(pts, (5, 1)), tol), np.tile(rows, 5))
+
+    def test_point_and_line_flat(self):
+        # Equality flats only: a point on a line is its own closest point.
+        node = Intersection([
+            FinitePointSet([(1.0, 2.0)], label="dot"),
+            AffineSubspace((0, 1), [(1, 1)], label="diag"),
+        ])
+        desc = ClosedSetDesc(node, box=((-4, -4), (4, 4)))
+        proj = desc.project((4.0, -2.0))
+        assert proj.exactness == "exact"
+        assert proj.distance == pytest.approx(5.0)
+        assert np.allclose(proj.points[0], (1.0, 2.0))
+
+    def test_no_feasible_candidate_is_approximate(self):
+        # Disjoint parallel lines: the intersection is empty, so no candidate
+        # is feasible and the least-violating one must not read as exact.
+        desc = ClosedSetDesc(
+            Intersection([
+                AffineSubspace((0, 0), [(1, 0)], label="low"),
+                AffineSubspace((0, 1), [(1, 0)], label="high"),
+            ]),
+            box=((-4, -4), (4, 4)),
+        )
+        assert desc.project((0.5, 3.0)).exactness == "approximate"
 
 
 class TestSceneValidation:
