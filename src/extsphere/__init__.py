@@ -47,6 +47,7 @@ from .sconvex import (
     SConvexityReport,
     check_boundary_projection_uniqueness,
     check_thin_margin_open,
+    envelope_many,
     equivalence_harness,
     in_capped_envelope,
     in_full_envelope,
@@ -54,6 +55,7 @@ from .sconvex import (
     is_realizable_boundary_point,
     is_s_convex,
     near_thin_boundary,
+    near_thin_boundary_many,
     near_unrealizable_boundary,
     normal_segments,
 )

@@ -172,9 +172,9 @@ def _cmd_cover(scene: Scene, args, seed, samples, density, rho_max, deltas) -> _
 def _cmd_sconvex(scene: Scene, args, seed, samples, density, rho_max, deltas) -> _Outcome:
     ctx = _sconvex.EnvelopeContext(scene.desc, scene.radius_field, density, rho_max)
     membership = {
-        "full": lambda p: _sconvex.in_full_envelope(ctx, p),
-        "capped": lambda p: _sconvex.in_capped_envelope(ctx, p),
-        "space": lambda p: True,
+        "full": lambda P: _sconvex.envelope_many(ctx, P),
+        "capped": lambda P: _sconvex.envelope_many(ctx, P, capped=True),
+        "space": lambda P: np.ones(len(P), dtype=bool),
     }[args.envelope]
     sample = _sconvex.normal_segments(scene.desc, samples, density, seed, rho_max)
     report = _sconvex.is_s_convex(scene.desc, membership, sample, seed)

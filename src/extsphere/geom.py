@@ -152,8 +152,10 @@ def bisect(keep_lo, lo, hi, steps: int | None = None, width: float | None = None
     hi).  lo and hi are floats, two points (the segment between them is
     halved; pass ``steps``), or arrays of brackets halved in lockstep, for
     which ``keep_lo`` returns one flag per bracket and ``width`` bounds the
-    widest.  A single flag takes a plain branch, because numpy calls on
-    scalars would cost more per step than the scalar queries they bisect.
+    widest.  Brackets of points are (k, d) arrays of ends, one segment per
+    row, with one flag per row.  A single flag takes a plain branch, because
+    numpy calls on scalars would cost more per step than the scalar queries
+    they bisect.
     """
     done = 0
     while True:
@@ -167,6 +169,8 @@ def bisect(keep_lo, lo, hi, steps: int | None = None, width: float | None = None
         mid = 0.5 * (lo + hi)
         keep = keep_lo(mid)
         if isinstance(keep, np.ndarray):
+            if keep.ndim < mid.ndim:  # one flag per (k, d) point bracket
+                keep = keep[:, None]
             lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
         elif keep:
             lo = mid

@@ -239,7 +239,8 @@ class Cone:
 
 
 def realization_margins(desc: ClosedSetDesc, a: np.ndarray, dirs: np.ndarray, rhos) -> np.ndarray:
-    """distance(set, a + rho*dir) - rho for each direction (vectorized)."""
+    """distance(set, a + rho*dir) - rho for each direction (vectorized); a is
+    one base point, or one per direction row."""
     rhos = np.asarray(rhos, dtype=float)
     return desc.distance_many(a + rhos[..., None] * dirs) - rhos
 

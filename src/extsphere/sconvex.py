@@ -21,21 +21,18 @@ set), and reports whether the three verdicts agree.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import GeometryError, as_tuple, as_vec, bisect, norm, normalized
+from .geom import GeometryError, as_tuple, as_vec, bisect, norm
 from .conditions import ConditionReport, check_extended_condition
 from .proximal import (
     RadiusField,
     default_density,
     default_rho_max,
     first_boundary_return,
-    is_realized_by_sphere,
     realization_margins,
     sample_unit_normals,
 )
@@ -91,11 +88,6 @@ class EnvelopeContext:
             self._realizable_memo[key] = ok
         return self._realizable_memo[key]
 
-    def _strictly_realized(self, a, zeta, rho: float) -> bool:
-        """rho strictly below the realization radius of zeta at a."""
-        probe = rho * (1.0 + 1e-9) + 1e-15
-        return bool(is_realized_by_sphere(self.desc, a, zeta, probe))
-
 
 def is_realizable_boundary_point(ctx: EnvelopeContext, a) -> bool:
     """Whether some sampled unit normal at a boundary-of-interior point
@@ -106,19 +98,26 @@ def is_realizable_boundary_point(ctx: EnvelopeContext, a) -> bool:
     return ctx.realizable_boundary_point(a)
 
 
-def _classifier(desc: ClosedSetDesc, proj):
-    """interior(k): projection point k on the boundary of the interior,
-    decided lazily and at most once, so the zones share one classification."""
-    return functools.cache(lambda k: desc.in_boundary_of_interior(proj.points[k]))
-
-
-def _reach_zone(ctx: EnvelopeContext, x, proj, capped: bool) -> bool:
-    if proj.multiplicity != 1 or proj.distance <= 0.0:
-        return False
-    a, d = proj.points[0], proj.distance
-    if capped and not d < ctx.boundary_radius(a, proj.labels[0]):
-        return False
-    return ctx._strictly_realized(a, normalized(x - a), d)
+def _reach_rows(ctx: EnvelopeContext, X, projs, capped: bool) -> np.ndarray:
+    """Exterior rows with a unique projection a at distance d > 0 (below the
+    boundary radius at a when capped) whose direction from a is realized
+    strictly beyond d: one realization-margin call for all of them."""
+    rows = [r for r, proj in enumerate(projs) if proj.multiplicity == 1 and proj.distance > 0.0]
+    if capped:
+        rows = [
+            r for r in rows
+            if projs[r].distance < ctx.boundary_radius(projs[r].points[0], projs[r].labels[0])
+        ]
+    out = np.zeros(len(projs), dtype=bool)
+    if not rows:
+        return out
+    A = np.asarray([projs[r].points[0] for r in rows])
+    W = X[rows] - A
+    Z = W / np.sqrt(np.vecdot(W, W))[:, None]
+    d = np.asarray([projs[r].distance for r in rows])
+    probe = d * (1.0 + 1e-9) + 1e-15
+    out[rows] = realization_margins(ctx.desc, A, Z, probe) >= -ctx.desc.realize_tol
+    return out
 
 
 def _thin_zone(ctx: EnvelopeContext, proj, interior) -> bool:
@@ -135,46 +134,91 @@ def _unrealizable_zone(ctx: EnvelopeContext, proj, interior) -> bool:
     )
 
 
-def _exterior_projection(ctx: EnvelopeContext, x):
-    """The projection of x, or None when x lies in the set."""
-    return None if ctx.desc.contains(x) else ctx.desc.project(x)
+ZONES = ("reach", "thin", "unrealizable")
+
+
+def _zones_many(ctx: EnvelopeContext, P, zones, capped: bool = False):
+    """Two masks over the rows of P: in the set, and outside it in one of
+    the zones, tried in the order of ``ZONES``.
+
+    One membership call, one projection call on the exterior rows, one
+    realization-margin call for the reach zone, and one classification of
+    the projection points (boundary of the interior or not) for the rest.
+    The thin and unrealizable zones, which read the radius field and the
+    memoised realizability, then go row by row, cluster by cluster, and
+    stop where a one-row question stops, so the memo is asked the same
+    points in the same order.
+    """
+    desc = ctx.desc
+    P = np.asarray(P, dtype=float).reshape(-1, desc.dim)
+    inside = desc.contains_many(P)
+    hit = np.zeros(P.shape[0], dtype=bool)
+    rows = np.flatnonzero(~inside)
+    if rows.size == 0:
+        return inside, hit
+    X = P[rows]
+    projs = desc.project_many(X)
+    took = _reach_rows(ctx, X, projs, capped) if "reach" in zones else np.zeros(rows.size, bool)
+    thin, unrealizable = "thin" in zones, "unrealizable" in zones
+    rest = np.flatnonzero(~took) if thin or unrealizable else []
+    points = [p for r in rest for p in projs[r].points]
+    on, inner = desc.boundary_of_interior_many(np.reshape(points, (-1, desc.dim)))
+    first = 0
+    for r in rest:
+        proj = projs[r]
+
+        def interior(k, base=first):
+            if not on[base + k]:
+                raise GeometryError(f"point {proj.points[k].tolist()} is not on the set boundary")
+            return bool(inner[base + k])
+
+        took[r] = (thin and _thin_zone(ctx, proj, interior)) or (
+            unrealizable and _unrealizable_zone(ctx, proj, interior)
+        )
+        first += proj.multiplicity
+    hit[rows] = took
+    return inside, hit
+
+
+def envelope_many(ctx: EnvelopeContext, P, capped: bool = False) -> np.ndarray:
+    """Membership of each row of P in the full envelope (or the capped one,
+    see the module doc): the set, then the reach zone, the thin-margin set
+    and the unrealizable set, all from one projection per row."""
+    inside, hit = _zones_many(ctx, P, ZONES, capped)
+    return inside | hit
+
+
+def near_thin_boundary_many(ctx: EnvelopeContext, P) -> np.ndarray:
+    """``near_thin_boundary`` of each row of P."""
+    return _zones_many(ctx, P, ("thin",))[1]
+
+
+def _one_row(ctx: EnvelopeContext, x) -> np.ndarray:
+    return as_vec(x, dim=ctx.desc.dim)[None, :]
 
 
 def near_thin_boundary(ctx: EnvelopeContext, x) -> bool:
     """Exterior points with a projection on an interior-free boundary part
     closer than the boundary radius there (strictly)."""
-    proj = _exterior_projection(ctx, as_vec(x, dim=ctx.desc.dim))
-    return proj is not None and _thin_zone(ctx, proj, _classifier(ctx.desc, proj))
+    return bool(near_thin_boundary_many(ctx, _one_row(ctx, x))[0])
 
 
 def near_unrealizable_boundary(ctx: EnvelopeContext, x) -> bool:
     """Exterior points with a projection on the boundary of the interior
     where no sampled normal reaches the boundary radius."""
-    proj = _exterior_projection(ctx, as_vec(x, dim=ctx.desc.dim))
-    return proj is not None and _unrealizable_zone(ctx, proj, _classifier(ctx.desc, proj))
+    return bool(_zones_many(ctx, _one_row(ctx, x), ("unrealizable",))[1][0])
 
 
 def in_unique_reach_zone(ctx: EnvelopeContext, x, capped: bool = False) -> bool:
     """Exterior points with a unique projection strictly inside the
     realization radius along the projection direction (optionally capped by
     the boundary radius field)."""
-    x = as_vec(x, dim=ctx.desc.dim)
-    proj = _exterior_projection(ctx, x)
-    return proj is not None and _reach_zone(ctx, x, proj, capped)
+    return bool(_zones_many(ctx, _one_row(ctx, x), ("reach",), capped)[1][0])
 
 
 def in_envelope(ctx: EnvelopeContext, x, capped: bool = False) -> bool:
-    """Membership in the full envelope (or the capped one, see the module doc):
-    the set, then the reach zone, the thin-margin set and the unrealizable
-    set, all from one projection of x."""
-    x = as_vec(x, dim=ctx.desc.dim)
-    proj = _exterior_projection(ctx, x)
-    if proj is None:
-        return True
-    if _reach_zone(ctx, x, proj, capped):
-        return True
-    interior = _classifier(ctx.desc, proj)
-    return _thin_zone(ctx, proj, interior) or _unrealizable_zone(ctx, proj, interior)
+    """``envelope_many`` of one point."""
+    return bool(envelope_many(ctx, _one_row(ctx, x), capped)[0])
 
 
 def in_full_envelope(ctx: EnvelopeContext, x) -> bool:
@@ -221,7 +265,10 @@ def _segment_cap(desc, a, direction, realization) -> float:
 
 
 def _segment_in_s(s_membership, a, endpoint) -> bool:
-    return all(s_membership(a + t * (endpoint - a)) for t in np.linspace(0.0, 1.0, 33))
+    """Whether 33 evenly spaced points of the segment [a, endpoint] lie in S,
+    asked in one call."""
+    t = np.linspace(0.0, 1.0, 33)[:, None]
+    return bool(np.all(s_membership(a + t * (endpoint - a))))
 
 
 def _crossings(desc, a1, d1, T1, bases, dirs, caps):
@@ -300,27 +347,30 @@ def is_s_convex(desc: ClosedSetDesc, s_membership, sample, seed: int) -> SConvex
     outside the set with two projection clusters whose projection segments
     stay in S is a crossing of two normal segments).  Any confirmed crossing
     fails the check.  Pairs (i, j), i < j, go in order: segment i against
-    all later ones at once, its hits confirmed in order.
+    all later ones at once, its hits confirmed in order.  ``s_membership``
+    maps an (m, d) array of points to an (m,) mask.
     """
     samples, (bases, dirs, caps) = sample
     rng = np.random.default_rng(seed)
     notes: list[str] = []
 
-    for p in desc.oracle.probe_points(32, rng):
-        if not s_membership(p):
-            notes.append("membership precheck: S does not contain a set probe")
-            break
+    if not np.all(s_membership(desc.oracle.probe_points(32, rng))):
+        notes.append("membership precheck: S does not contain a set probe")
 
     base_tol = 1e-9 * desc.diameter
     violations: list[SConvexityViolation] = []
     pairs = 0
 
-    def confirm(a1, a2, point) -> bool:
-        if desc.contains(point):
-            return False
-        if not s_membership(point):
-            return False
-        return _segment_in_s(s_membership, a1, point) and _segment_in_s(s_membership, a2, point)
+    def confirmed(a1, others, hits, points):
+        """Hits whose crossing point lies outside the set and in S (each
+        asked for all hits of the row in one call), then, in order, whose
+        segments from a1 and from their other base up to it stay in S."""
+        hits = hits[~desc.contains_many(points[hits])]
+        hits = hits[s_membership(points[hits])] if hits.size else hits
+        for k in hits:
+            p = points[k]
+            if _segment_in_s(s_membership, a1, p) and _segment_in_s(s_membership, others[k], p):
+                yield k
 
     for i in range(len(caps)):
         a1, d1, T1 = bases[i], dirs[i], caps[i]
@@ -328,8 +378,7 @@ def is_s_convex(desc: ClosedSetDesc, s_membership, sample, seed: int) -> SConvex
         exhausted = later.size > MAX_PAIRS - pairs
         later = later[:MAX_PAIRS - pairs]
         hit, t, s, points = _crossings(desc, a1, d1, T1, bases[later], dirs[later], caps[later])
-        confirmed = (k for k in np.flatnonzero(hit) if confirm(a1, bases[later[k]], points[k]))
-        k = next(confirmed, None)
+        k = next(confirmed(a1, bases[later], np.flatnonzero(hit), points), None)
         if k is not None:
             pairs += int(k) + 1
             j = later[k]
@@ -375,7 +424,7 @@ def _equidistant_probe(desc, s_membership, samples):
                     if hit is None:
                         continue
                     s_pt = hit
-                    if desc.contains(s_pt) or not s_membership(s_pt):
+                    if desc.contains(s_pt) or not s_membership(s_pt[None, :])[0]:
                         continue
                     proj = desc.project(s_pt)
                     if proj.multiplicity < 2:
@@ -459,14 +508,16 @@ def check_boundary_projection_uniqueness(
     Boundary points of the envelope are located by membership-flip bisection
     along segments between member and non-member probes (400 uniform probes
     of the box); the bisection keeps its member end, so every endpoint is a
-    member.  Endpoints in the set are skipped; ``located_boundary_points``
-    counts the endpoints the quantifier tested.
+    member.  The (member, non-member) pairs are drawn first and all rays
+    are bisected in lockstep, one envelope call per step.  Endpoints in the
+    set are skipped; ``located_boundary_points`` counts the endpoints the
+    quantifier tested.
     """
     desc = ctx.desc
     rng = np.random.default_rng(seed)
     lo, hi = desc.box
     pool = rng.uniform(lo, hi, size=(400, desc.dim))
-    member_mask = np.asarray([in_capped_envelope(ctx, p) for p in pool])
+    member_mask = envelope_many(ctx, pool, capped=True)
     inside = pool[member_mask]
     outside = pool[~member_mask]
     notes: list[str] = []
@@ -474,25 +525,22 @@ def check_boundary_projection_uniqueness(
         return UniqueProjectionReport(
             "holds", 0, [], seed, ["envelope boundary not locatable (one-sided probes)"]
         )
-    violations: list[UniqueProjectionViolation] = []
-    located = 0
-    for _ in range(rays):
-        p_in = inside[int(rng.integers(inside.shape[0]))]
-        p_out = outside[int(rng.integers(outside.shape[0]))]
-        x_star, _ = bisect(lambda p: in_capped_envelope(ctx, p), p_in, p_out, steps=60)
-        if desc.contains(x_star):
-            continue
-        located += 1
-        proj = desc.project(x_star)
-        if proj.multiplicity > 1:
-            violations.append(
-                UniqueProjectionViolation(
-                    as_tuple(x_star), proj.multiplicity,
-                    tuple(as_tuple(p) for p in proj.points),
-                )
-            )
+    picks = [(rng.integers(inside.shape[0]), rng.integers(outside.shape[0])) for _ in range(rays)]
+    picks = np.asarray(picks, dtype=int).reshape(rays, 2)
+    x_star, _ = bisect(
+        lambda P: envelope_many(ctx, P, capped=True),
+        inside[picks[:, 0]], outside[picks[:, 1]], steps=60,
+    )
+    x_star = x_star[~desc.contains_many(x_star)]
+    violations = [
+        UniqueProjectionViolation(
+            as_tuple(x), proj.multiplicity, tuple(as_tuple(p) for p in proj.points),
+        )
+        for x, proj in zip(x_star, desc.project_many(x_star))
+        if proj.multiplicity > 1
+    ]
     verdict = "holds" if not violations else "fails"
-    return UniqueProjectionReport(verdict, located, violations, seed, notes)
+    return UniqueProjectionReport(verdict, x_star.shape[0], violations, seed, notes)
 
 
 @dataclass
@@ -518,7 +566,15 @@ def check_thin_margin_open(
         pool = desc.sample_exterior(8 * samples, seed=seed)
     except SetError:  # complement nearly empty
         return OpennessReport("holds", 0, [], seed, ["no exterior probes available"])
-    members = list(itertools.islice((p for p in pool if near_thin_boundary(ctx, p)), samples))
+    # Classified a chunk of `samples` rows at a time, up to the chunk that
+    # completes the members.
+    members: list[np.ndarray] = []
+    for start in range(0, pool.shape[0], samples):
+        if len(members) >= samples:
+            break
+        chunk = pool[start:start + samples]
+        members.extend(chunk[near_thin_boundary_many(ctx, chunk)])
+    members = members[:samples]
     if not members:
         return OpennessReport("holds", 0, [], seed, ["thin-margin set empty on probes; vacuously open"])
     eta_min = 1e-6 * desc.diameter
@@ -529,7 +585,7 @@ def check_thin_margin_open(
         while eta >= eta_min and not opened:
             raw = rng.normal(size=(20, desc.dim))
             dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-            if all(near_thin_boundary(ctx, x + eta * v) for v in dirs):
+            if np.all(near_thin_boundary_many(ctx, x + eta * dirs)):
                 opened = True
             else:
                 eta *= 0.5
@@ -578,8 +634,8 @@ def equivalence_harness(
     )
     # One sample of normal segments serves both envelopes.
     sample = normal_segments(desc, boundary_samples, density, seed, rho_max)
-    full = is_s_convex(desc, lambda p: in_full_envelope(ctx, p), sample, seed)
-    capped = is_s_convex(desc, lambda p: in_capped_envelope(ctx, p), sample, seed)
+    full = is_s_convex(desc, lambda P: envelope_many(ctx, P), sample, seed)
+    capped = is_s_convex(desc, lambda P: envelope_many(ctx, P, capped=True), sample, seed)
     uniq = check_boundary_projection_uniqueness(ctx, seed=seed)
     openness = check_thin_margin_open(ctx, seed=seed)
     v_i = condition.verdict

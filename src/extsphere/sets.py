@@ -82,21 +82,23 @@ class Primitive:
     def boundary_distance_many(self, P: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def project_point(self, x: np.ndarray) -> np.ndarray:
-        """One closest point (unique for convex leaves)."""
+    def project_many(self, X: np.ndarray) -> np.ndarray:
+        """One closest point per row (unique for convex leaves).  Dots and
+        norms are taken per row (``np.vecdot``), so a row's point does not
+        depend on the other rows of X."""
         raise NotImplementedError
 
-    def projection_candidates(self, x: np.ndarray) -> list[np.ndarray]:
-        return [self.project_point(x)]
+    def projection_exact(self, X: np.ndarray) -> np.ndarray:
+        """Whether the closest point returned for each row is certified."""
+        return np.ones(X.shape[0], dtype=bool)
 
-    def projection_exact(self, x: np.ndarray) -> bool:
-        """Whether the closest points returned for x are certified."""
-        return True
-
-    def labeled_candidates(self, x, tol: float, cluster_tol: float) -> list[tuple]:
-        """Candidate closest points, each with provenance labels and an exact flag."""
-        exact = self.projection_exact(x)
-        return [(p, (self.label,), exact) for p in self.projection_candidates(x)]
+    def labeled_candidates(self, X, tol: float, cluster_tol: float) -> list[tuple]:
+        """Candidate closest points of the rows of X, as columns
+        ``(points (n, d), labels, exact (n,), offered (n,) or None)``: labels
+        is one tuple for the whole column or a list of one tuple per row, and
+        ``offered`` masks the rows the column holds a candidate for (None:
+        all of them)."""
+        return [(self.project_many(X), (self.label,), self.projection_exact(X), None)]
 
     def ray_intervals(self, x: np.ndarray, d: np.ndarray, snap: float) -> IntervalSet:
         """Parameters t >= 0 with x + t d inside the leaf."""
@@ -175,9 +177,9 @@ class HalfSpace(Primitive):
     def boundary_distance_many(self, P):
         return np.abs(self._gap(P))
 
-    def project_point(self, x):
-        g = float(x @ self.normal - self.offset)
-        return x - max(0.0, g) * self.normal
+    def project_many(self, X):
+        g = np.vecdot(X, self.normal) - self.offset
+        return X - np.where(g > 0.0, g, 0.0)[:, None] * self.normal
 
     def ray_intervals(self, x, d, snap):
         g0 = float(x @ self.normal - self.offset)
@@ -263,12 +265,13 @@ class ClosedBall(Primitive):
     def boundary_distance_many(self, P):
         return np.abs(self._r(P) - self.radius)
 
-    def project_point(self, x):
-        w = x - self.center
-        r = norm(w)
-        if r <= self.radius:
-            return x.copy()
-        return self.center + (self.radius / r) * w
+    def project_many(self, X):
+        W = X - self.center
+        r = np.sqrt(np.vecdot(W, W))
+        out = X.copy()
+        far = r > self.radius
+        out[far] = self.center + (self.radius / r[far])[:, None] * W[far]
+        return out
 
     def ray_intervals(self, x, d, snap):
         w = x - self.center
@@ -340,21 +343,24 @@ class BallComplement(Primitive):
     def boundary_distance_many(self, P):
         return np.abs(self._r(P) - self.radius)
 
-    def project_point(self, x):
-        w = x - self.center
-        r = norm(w)
-        if r >= self.radius:
-            return x.copy()
-        if r == 0.0:
-            # Every sphere point is equidistant; pick a fixed representative.
-            w = np.zeros(self.dim)
-            w[0] = 1.0
-            r = 1.0
-        return self.center + (self.radius / r) * w
+    def project_many(self, X):
+        W = X - self.center
+        r = np.sqrt(np.vecdot(W, W))
+        out = X.copy()
+        near = r < self.radius
+        W, r = W[near], r[near]
+        # At the centre every sphere point is equidistant; pick a fixed
+        # representative.
+        centre = r == 0.0
+        W[centre] = np.eye(self.dim)[0]
+        r[centre] = 1.0
+        out[near] = self.center + (self.radius / r)[:, None] * W
+        return out
 
-    def projection_exact(self, x):
+    def projection_exact(self, X):
         # At the centre every sphere point is closest; the fixed pick is not certified.
-        return not norm(x - self.center) < 1e-12
+        W = X - self.center
+        return ~(np.sqrt(np.vecdot(W, W)) < 1e-12)
 
     def ray_intervals(self, x, d, snap):
         w = x - self.center
@@ -442,13 +448,13 @@ class Slab(Primitive):
         g = self._g(P)
         return np.minimum(np.abs(g - self.lo), np.abs(g - self.hi))
 
-    def project_point(self, x):
-        g = float(x @ self.normal)
-        if g > self.hi:
-            return x - (g - self.hi) * self.normal
-        if g < self.lo:
-            return x + (self.lo - g) * self.normal
-        return x.copy()
+    def project_many(self, X):
+        g = np.vecdot(X, self.normal)
+        out = X.copy()
+        above, below = g > self.hi, g < self.lo
+        out[above] -= (g[above] - self.hi)[:, None] * self.normal
+        out[below] += (self.lo - g[below])[:, None] * self.normal
+        return out
 
     def ray_intervals(self, x, d, snap):
         upper, lower = self._faces
@@ -520,9 +526,16 @@ class AffineSubspace(Primitive):
         return self.basis.shape[0]
 
     def _residual(self, P):
+        """P minus its projection, row by row: coefficients by ``np.vecdot``
+        and a stacked product, so that each row gets the bits a one-row call
+        gives (a batched ``W @ basis.T`` differs from it in the last bit)."""
         W = P - self.point
-        if self.subspace_dim:
-            W = W - (W @ self.basis.T) @ self.basis
+        if self.subspace_dim == 1:
+            row = self.basis[0]
+            W = W - np.vecdot(W, row)[:, None] * row
+        elif self.subspace_dim:
+            coef = np.vecdot(W[:, None, :], self.basis)
+            W = W - np.matmul(coef[:, None, :], self.basis)[:, 0]
         return W
 
     def contains_many(self, P, tol):
@@ -537,8 +550,8 @@ class AffineSubspace(Primitive):
     def boundary_distance_many(self, P):
         return self.distance_many(P)
 
-    def project_point(self, x):
-        return x - self._residual(x[None, :])[0]
+    def project_many(self, X):
+        return X - self._residual(X)
 
     def ray_intervals(self, x, d, snap):
         # Minimum residual in vector form: the squared-quadratic route
@@ -631,14 +644,16 @@ class FinitePointSet(Primitive):
     def boundary_distance_many(self, P):
         return self.distance_many(P)
 
-    def project_point(self, x):
-        d = np.linalg.norm(self.points - x, axis=1)
-        return self.points[int(np.argmin(d))].copy()
-
-    def projection_candidates(self, x):
-        d = np.linalg.norm(self.points - x, axis=1)
-        best = d.min()
-        return [p.copy() for p, di in zip(self.points, d) if di <= best + 1e-12 * (1.0 + best)]
+    def labeled_candidates(self, X, tol, cluster_tol):
+        # One column per point, offered to the rows it is nearest to.
+        d = self._dists(X)
+        best = d.min(axis=1, keepdims=True)
+        offered = d <= best + 1e-12 * (1.0 + best)
+        exact = np.ones(X.shape[0], dtype=bool)
+        return [
+            (np.broadcast_to(p, X.shape), (self.label,), exact, offered[:, k])
+            for k, p in enumerate(self.points)
+        ]
 
     def ray_intervals(self, x, d, snap):
         spans = []
@@ -697,11 +712,10 @@ class Union:
         vals = [child.distance_many(P, tol) for child in self.children]
         return np.min(np.stack(vals, axis=0), axis=0)
 
-    def labeled_candidates(self, x, tol, cluster_tol):
-        out = []
-        for child in self.children:
-            out.extend(child.labeled_candidates(x, tol, cluster_tol))
-        return out
+    def labeled_candidates(self, X, tol, cluster_tol):
+        return [
+            col for child in self.children for col in child.labeled_candidates(X, tol, cluster_tol)
+        ]
 
     def ray_intervals(self, x, d, snap):
         out = IntervalSet.empty()
@@ -918,12 +932,11 @@ class Intersection:
     def distance_many(self, P, tol):
         return self._project_many(P, tol)[1]
 
-    def labeled_candidates(self, x, tol, cluster_tol):
-        points, _, exact = self._project_many(x[None, :], tol)
-        p = points[0]
-        labels = boundary_labels_of_leaves(self.children, p, cluster_tol)
-        label = labels if labels else tuple(child.label for child in self.children)
-        return [(p, label, bool(exact[0]))]
+    def labeled_candidates(self, X, tol, cluster_tol):
+        points, _, exact = self._project_many(X, tol)
+        everyone = tuple(child.label for child in self.children)
+        labels = boundary_labels_many(self.children, points, cluster_tol)
+        return [(points, [lab or everyone for lab in labels], exact, None)]
 
     def ray_intervals(self, x, d, snap):
         out = IntervalSet.whole(0.0)
@@ -961,6 +974,28 @@ class ProjectionResult:
     @property
     def multiplicity(self) -> int:
         return len(self.points)
+
+
+def _clustered(cands, dist: float, tol: float) -> ProjectionResult:
+    """The cluster rule of ``ClosedSetDesc.project_many`` on one row's near
+    candidates (point, labels, exact)."""
+    clusters: list[list] = []
+    for p, lab, ex in sorted(cands, key=lambda t: tuple(t[0])):
+        for cluster in clusters:
+            if norm(cluster[0][0] - p) <= tol:
+                cluster.append((p, lab, ex))
+                break
+        else:
+            clusters.append([(p, lab, ex)])
+    points, labels, exact = [], [], True
+    for cluster in clusters:
+        points.append(cluster[0][0])
+        lab: tuple[str, ...] = ()
+        for _, l, ex in cluster:
+            lab = tuple(sorted(set(lab) | set(l)))
+            exact &= ex
+        labels.append(lab)
+    return ProjectionResult(points, labels, dist, "exact" if exact else "approximate")
 
 
 # ---------------------------------------------------------------------------
@@ -1166,31 +1201,48 @@ class ClosedSetDesc:
         return float(self.distance_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def project(self, x) -> ProjectionResult:
-        x = as_vec(x, dim=self.dim)
-        if self.contains(x):
-            labels = self.boundary_labels_at(x)
-            return ProjectionResult([x.copy()], [labels], 0.0, "exact")
+        return self.project_many(as_vec(x, dim=self.dim)[None, :])[0]
+
+    def project_many(self, P) -> list[ProjectionResult]:
+        """The projection of each row of P.
+
+        A row in the set is its own projection.  For any other row, the
+        candidates of the CSG tree within ``cluster_tol`` of the nearest one
+        are taken in lexicographic order; each joins the first cluster whose
+        first point lies within ``cluster_tol`` of it, or opens a new one.  A
+        cluster is represented by its first point and carries the union of
+        its candidates' labels.  Distances are per row (``np.vecdot``), so a
+        row's result does not depend on the other rows of P.
+        """
+        P = _as_points(P, self.dim)
+        out: list = [None] * P.shape[0]
+        inside = self.contains_many(P)
+        rows = np.flatnonzero(inside)
+        if rows.size:
+            labels = boundary_labels_many(self.leaves, P[rows], self.cluster_tol)
+            for i, lab in zip(rows, labels):
+                out[i] = ProjectionResult([P[i].copy()], [lab], 0.0, "exact")
+        rows = np.flatnonzero(~inside)
+        if rows.size == 0:
+            return out
+        X = P[rows]
         tol = self.cluster_tol
-        raw = self.root.labeled_candidates(x, self.membership_tol, tol)
-        dist = min(norm(x - p) for p, _, _ in raw)
-        near = [(p, lab, ex) for p, lab, ex in raw if norm(x - p) <= dist + tol]
-        clusters: list[list] = []
-        for p, lab, ex in sorted(near, key=lambda t: tuple(t[0])):
-            for cluster in clusters:
-                if norm(cluster[0][0] - p) <= tol:
-                    cluster.append((p, lab, ex))
-                    break
-            else:
-                clusters.append([(p, lab, ex)])
-        points, labels, exact = [], [], True
-        for cluster in clusters:
-            points.append(cluster[0][0])
-            lab: tuple[str, ...] = ()
-            for _, l, ex in cluster:
-                lab = tuple(sorted(set(lab) | set(l)))
-                exact &= ex
-            labels.append(lab)
-        return ProjectionResult(points, labels, dist, "exact" if exact else "approximate")
+        columns = self.root.labeled_candidates(X, self.membership_tol, tol)
+        Y = np.stack([points for points, _, _, _ in columns], axis=1)
+        W = X[:, None, :] - Y
+        D = np.sqrt(np.vecdot(W, W))
+        for c, (_, _, _, offered) in enumerate(columns):
+            if offered is not None:
+                D[~offered, c] = INF
+        dist = D.min(axis=1)
+        near = (D <= (dist + tol)[:, None]).tolist()
+        for r, (i, d) in enumerate(zip(rows, dist.tolist())):
+            cands = [
+                (Y[r, c], lab if isinstance(lab, tuple) else lab[r], exact[r])
+                for c, (_, lab, exact, _) in enumerate(columns) if near[r][c]
+            ]
+            out[i] = _clustered(cands, d, tol)
+        return out
 
     # -- boundary ------------------------------------------------------------
 
@@ -1214,6 +1266,16 @@ class ClosedSetDesc:
             return None
         return ClosedSetDesc(reg_root, box=self.box, name=f"cl-int-{self.name}")
 
+    def boundary_of_interior_many(self, Q) -> tuple[np.ndarray, np.ndarray]:
+        """Two masks over the rows of Q: on the set boundary, and in the CSG
+        regularization cl(int A) (which, for a boundary row, is being on the
+        boundary of the interior)."""
+        Q = _as_points(Q, self.dim)
+        on = self.contains_many(Q) & ~self.interior_many(Q)
+        reg = self.closure_of_interior()
+        inner = np.zeros(Q.shape[0], dtype=bool) if reg is None else reg.contains_many(Q)
+        return on, inner
+
     def in_boundary_of_interior(
         self,
         a,
@@ -1228,11 +1290,11 @@ class ClosedSetDesc:
         diameter * 2**-k, k = 3..12, and checks interior membership directly.
         """
         a = as_vec(a, dim=self.dim)
-        if not self.on_boundary(a):
+        on, inner = self.boundary_of_interior_many(a[None, :])
+        if not on[0]:
             raise GeometryError(f"point {a.tolist()} is not on the set boundary")
         if method == "analytic":
-            reg = self.closure_of_interior()
-            return False if reg is None else reg.contains(a)
+            return bool(inner[0])
         if method != "sampling":
             raise GeometryError(f"unknown method {method!r}")
         rng = np.random.default_rng(seed)
@@ -1362,15 +1424,24 @@ def _sphere_local_points(center, radius, a, scale) -> np.ndarray | None:
     return np.asarray(out)
 
 
+def _owners(leaves, P, tol) -> list[np.ndarray]:
+    """One (m,) mask per leaf: the leaf contains the row and its boundary
+    passes within tol of it."""
+    return [leaf.contains_many(P, tol) & (leaf.boundary_distance_many(P) <= tol) for leaf in leaves]
+
+
 def owning_leaves(leaves, p, tol) -> list:
     """The leaves, in order, that contain p and whose boundary passes within
     tol of it."""
-    P = np.asarray(p, dtype=float)[None, :]
-    return [
-        leaf for leaf in leaves
-        if bool(leaf.contains_many(P, tol)[0]) and float(leaf.boundary_distance_many(P)[0]) <= tol
-    ]
+    owns = _owners(leaves, np.asarray(p, dtype=float)[None, :], tol)
+    return [leaf for leaf, owner in zip(leaves, owns) if owner[0]]
+
+
+def boundary_labels_many(leaves, P, tol) -> list[tuple[str, ...]]:
+    """Sorted labels of the owning leaves of each row of P."""
+    owns = np.stack(_owners(leaves, P, tol), axis=1).tolist()
+    return [tuple(sorted(leaf.label for leaf, owner in zip(leaves, row) if owner)) for row in owns]
 
 
 def boundary_labels_of_leaves(leaves, p, tol) -> tuple[str, ...]:
-    return tuple(sorted(leaf.label for leaf in owning_leaves(leaves, p, tol)))
+    return boundary_labels_many(leaves, np.asarray(p, dtype=float)[None, :], tol)[0]

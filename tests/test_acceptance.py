@@ -269,7 +269,10 @@ def test_criterion_6_property_suites():
 def test_criterion_7_convexity_baseline():
     fix = make_ball("inf")
     with Timer("7 (convex baseline)", 10.0):
-        report = is_s_convex(fix.desc, lambda p: True, normal_segments(fix.desc, 60, None, 7, 50.0), 7)
+        report = is_s_convex(
+            fix.desc, lambda P: np.ones(len(P), dtype=bool),
+            normal_segments(fix.desc, 60, None, 7, 50.0), 7,
+        )
         assert report.verdict == "holds"
         cond = check_extended_condition(
             fix.desc, fix.rf, boundary_samples=60, density=720, seed=7, rho_max=50.0

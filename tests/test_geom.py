@@ -153,6 +153,19 @@ class TestBisect:
         assert np.linalg.norm(inside) <= 1.0 < np.linalg.norm(outside)
         assert np.allclose(inside, [0.6, 0.8], atol=1e-12)
 
+    def test_point_brackets_halve_row_by_row(self):
+        # Two segments in lockstep, one flag per row; each row ends where
+        # its own one-segment bisection ends, bit for bit.
+        radii = np.array([1.0, 2.0])
+        ends = np.array([[3.0, 4.0], [0.0, 5.0]])
+        lo, hi = bisect(
+            lambda P: np.linalg.norm(P, axis=1) <= radii, np.zeros((2, 2)), ends, steps=60
+        )
+        for k in range(2):
+            alone = bisect(lambda p: np.linalg.norm(p) <= radii[k], np.zeros(2), ends[k], steps=60)
+            assert np.array_equal(lo[k], alone[0]) and np.array_equal(hi[k], alone[1])
+        assert np.allclose(lo, [[0.6, 0.8], [0.0, 2.0]], atol=1e-12)
+
     def test_lockstep_brackets_flip_at_their_own_roots(self):
         roots = np.array([0.25, 0.5, 3.0])
         lo, hi = bisect(lambda t: t <= roots, np.zeros(3), np.full(3, 4.0), width=1e-9)

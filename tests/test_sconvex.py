@@ -12,6 +12,7 @@ from extsphere.sconvex import (
     is_realizable_boundary_point,
     check_boundary_projection_uniqueness,
     check_thin_margin_open,
+    envelope_many,
     equivalence_harness,
     in_capped_envelope,
     in_envelope,
@@ -127,13 +128,14 @@ class TestSingleProjection:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"project": 0, "in_boundary_of_interior": 0}
+        # Rows passed to each batched query.
+        counts = {"project_many": 0, "boundary_of_interior_many": 0}
         for name in counts:
             original = getattr(ClosedSetDesc, name)
 
-            def counting(desc, *args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(desc, *args, **kwargs)
+            def counting(desc, P, _name=name, _original=original):
+                counts[_name] += len(P)
+                return _original(desc, P)
 
             monkeypatch.setattr(ClosedSetDesc, name, counting)
         return counts
@@ -146,11 +148,11 @@ class TestSingleProjection:
         )
         for ctx, pts in probes:
             for p in pts:
-                calls.update(project=0, in_boundary_of_interior=0)
+                calls.update(project_many=0, boundary_of_interior_many=0)
                 predicate(ctx, p)
-                assert calls["project"] == 1, p
+                assert calls["project_many"] == 1, p
                 multiplicity = ctx.desc.project(p).multiplicity
-                assert calls["in_boundary_of_interior"] <= multiplicity, p
+                assert calls["boundary_of_interior_many"] <= multiplicity, p
 
 
 class TestRealizableBoundaryPoints:
@@ -198,19 +200,22 @@ class TestReachZoneSegmentUnion:
 
 class TestSConvexity:
     def test_convex_ball_wholespace(self, ball):
-        report = is_s_convex(ball.desc, lambda p: True, normal_segments(ball.desc, 60, None, 3, 50.0), 3)
+        report = is_s_convex(
+            ball.desc, lambda P: np.ones(len(P), dtype=bool),
+            normal_segments(ball.desc, 60, None, 3, 50.0), 3,
+        )
         assert report.verdict == "holds"
 
     def test_lineplane_capped_envelope_convex(self, lineplane, lp_ctx):
         report = is_s_convex(
-            lineplane.desc, lambda p: in_capped_envelope(lp_ctx, p),
+            lineplane.desc, lambda P: envelope_many(lp_ctx, P, capped=True),
             normal_segments(lineplane.desc, 40, None, 3, 100.0), 3,
         )
         assert report.verdict == "holds"
 
     def test_lineplane_full_envelope_not_convex(self, lineplane, lp_ctx):
         report = is_s_convex(
-            lineplane.desc, lambda p: in_full_envelope(lp_ctx, p),
+            lineplane.desc, lambda P: envelope_many(lp_ctx, P),
             normal_segments(lineplane.desc, 40, None, 3, 100.0), 3,
         )
         assert report.verdict == "fails"
@@ -223,7 +228,10 @@ class TestSConvexity:
             Union([ClosedBall((-1, 0), 1.0, label="left"), ClosedBall((1, 0), 1.0, label="right")]),
             box=((-3.5, -2.5), (3.5, 2.5)),
         )
-        report = is_s_convex(touching, lambda p: True, normal_segments(touching, 60, None, 3, 40.0), 3)
+        report = is_s_convex(
+            touching, lambda P: np.ones(len(P), dtype=bool),
+            normal_segments(touching, 60, None, 3, 40.0), 3,
+        )
         assert report.verdict == "fails"
         v = report.violations[0]
         s = np.asarray(v.point)
@@ -240,7 +248,7 @@ class TestSConvexity:
             angle = rng.uniform(0, 2 * math.pi)
             n = np.array([math.cos(angle), math.sin(angle)])
             offset = rng.uniform(1.5, 3.0)
-            s1 = lambda p, n=n, o=offset: float(np.asarray(p) @ n) <= o
+            s1 = lambda P, n=n, o=offset: np.vecdot(P, n) <= o
             report = is_s_convex(ball.desc, s1, sample, 3)
             assert report.verdict == "holds"
 
@@ -451,19 +459,21 @@ class TestEachPartRunsOnce:
         assert calls == [40, 40]
 
     def test_uniqueness_asks_the_envelope_once_per_probe_and_step(self, strip_ctx, monkeypatch):
-        # 400 probes of the box, then 60 bisection steps on each of 80 rays;
-        # the located endpoints are not asked again.
+        # 400 probes of the box in one call, then 60 bisection steps that
+        # each ask the 80 rays at once; the located endpoints are not asked
+        # again.
         calls = []
-        original = sconvex.in_capped_envelope
+        original = sconvex.envelope_many
 
-        def counting(ctx, x):
-            calls.append(1)
-            return original(ctx, x)
+        def counting(ctx, P, capped=False):
+            calls.append((len(P), capped))
+            return original(ctx, P, capped)
 
-        monkeypatch.setattr(sconvex, "in_capped_envelope", counting)
+        monkeypatch.setattr(sconvex, "envelope_many", counting)
         report = check_boundary_projection_uniqueness(strip_ctx, seed=7)
         assert report.verdict == "holds"
-        assert len(calls) == 400 + 80 * 60 == 5200
+        assert calls == [(400, True)] + [(80, True)] * 60
+        assert sum(rows for rows, _ in calls) == 400 + 80 * 60 == 5200
 
     def test_report_asks_the_envelope_only_for_the_checks(self, capsys, monkeypatch):
         # halfplane at its own parameters: the 32-probe membership precheck
@@ -471,32 +481,97 @@ class TestEachPartRunsOnce:
         # the capped envelope, so no ray is bisected.  No pair of segments
         # crosses and the scene has one component, so nothing else is asked.
         calls = []
-        original = sconvex.in_envelope
+        original = sconvex.envelope_many
 
-        def counting(ctx, x, capped=False):
-            calls.append(capped)
-            return original(ctx, x, capped)
+        def counting(ctx, P, capped=False):
+            calls.append((len(P), capped))
+            return original(ctx, P, capped)
 
-        monkeypatch.setattr(sconvex, "in_envelope", counting)
+        monkeypatch.setattr(sconvex, "envelope_many", counting)
         assert main(["report", os.path.join(SCENES, "halfplane.scene")]) == 0
-        assert len(calls) == 32 + 32 + 400 == 464
+        assert calls == [(32, False), (32, True), (400, True)]
+        assert sum(rows for rows, _ in calls) == 32 + 32 + 400 == 464
 
     def test_openness_classifies_the_pool_up_to_the_last_member(self, lp_ctx, monkeypatch):
-        # The pool holds 8 x samples exterior points; classification stops
-        # once `samples` members are found.
+        # The pool holds 8 x samples exterior points, classified in chunks
+        # of `samples` rows; classification stops after the chunk that
+        # completes `samples` members.
         pool = lp_ctx.desc.sample_exterior(8 * 10, seed=7)
         members = [k for k, p in enumerate(pool) if near_thin_boundary(lp_ctx, p)]
         assert len(members) > 10
         pool_keys = {tuple(p) for p in pool}
         classified = []
-        original = sconvex.near_thin_boundary
+        original = sconvex.near_thin_boundary_many
 
-        def counting(ctx, x):
-            if tuple(x) in pool_keys:
-                classified.append(tuple(x))
-            return original(ctx, x)
+        def counting(ctx, P):
+            classified.extend(tuple(x) for x in P if tuple(x) in pool_keys)
+            return original(ctx, P)
 
-        monkeypatch.setattr(sconvex, "near_thin_boundary", counting)
+        monkeypatch.setattr(sconvex, "near_thin_boundary_many", counting)
         report = check_thin_margin_open(lp_ctx, samples=10, seed=7)
         assert report.tested == 10
-        assert len(classified) == members[9] + 1 < len(pool)
+        chunks = members[9] // 10 + 1
+        assert classified == [tuple(p) for p in pool[: 10 * chunks]]
+        assert len(classified) < len(pool)
+
+
+class TestBatchInvariance:
+    """A batched envelope or projection call gives each row the answer of
+    its one-row call, on the bundled scenes and the golden intersection
+    scenes."""
+
+    SCENE_NAMES = ("strip", "lineplane", "ball", "ballcomplement", "halfplane", "pointset")
+
+    @staticmethod
+    def _scene(name):
+        from test_golden import CUBELINE, POLYDISK
+
+        from extsphere.scene import load_scene, parse_scene
+
+        texts = {"polydisk": POLYDISK, "cubeline": CUBELINE}
+        if name in texts:
+            return parse_scene(texts[name], name)
+        return load_scene(os.path.join(SCENES, f"{name}.scene"))
+
+    @staticmethod
+    def _rows(desc, rng, count=400):
+        """Seeded box points and boundary samples pushed 1e-3 outward (along
+        an owning leaf's normal, else a random direction), shuffled."""
+        from extsphere.sets import owning_leaves
+
+        lo, hi = desc.box
+        box = rng.uniform(lo, hi, size=(count // 2, desc.dim))
+        samples = desc.sample_boundary(count - len(box), seed=int(rng.integers(1000)))
+        pushed = []
+        for k in range(count - len(box)):
+            a = samples[k % len(samples)][0]
+            normals = [n for leaf in owning_leaves(desc.leaves, a, desc.cluster_tol)
+                       for n in leaf.normal_directions(a)]
+            n = normals[0] if normals else rng.normal(size=desc.dim)
+            pushed.append(a + 1e-3 * n / np.linalg.norm(n))
+        rows = np.concatenate([box, np.reshape(pushed, (-1, desc.dim))])
+        return rows[rng.permutation(len(rows))]
+
+    @pytest.mark.parametrize("name", [*SCENE_NAMES, "polydisk", "cubeline"])
+    def test_batched_rows_equal_one_row_calls(self, name):
+        scene = self._scene(name)
+        desc = scene.desc
+        # A coarse cone density keeps the memoised realizability cheap; the
+        # comparison does not depend on it.
+        ctx = EnvelopeContext(desc, scene.radius_field, density=60 if desc.dim == 2 else 200,
+                              rho_max=scene.samples.rho_max)
+        P = self._rows(desc, np.random.default_rng(11))
+        assert P.shape[0] == 400 and not desc.contains_many(P).all()
+        for m in (1, 2, 7, P.shape[0]):
+            for capped in (False, True):
+                batched = envelope_many(ctx, P[:m], capped)
+                one_row = [in_envelope(ctx, x, capped) for x in P[:m]]
+                assert batched.tolist() == one_row, (m, capped)
+        for x, proj in zip(P, desc.project_many(P)):
+            alone = desc.project(x)
+            assert proj.multiplicity == alone.multiplicity, x
+            for p, q in zip(proj.points, alone.points):
+                assert np.array_equal(p, q), x
+            assert proj.labels == alone.labels, x
+            assert proj.distance == alone.distance, x
+            assert proj.exactness == alone.exactness, x
