@@ -9,6 +9,9 @@ checks, per scene:
   the nearest set point may lie outside the box, analytic <= brute + 2h),
 * every constructed witness is sound against the analytic distance,
 * on scenes where the condition holds, witness construction never fails,
+* the normal cones of the condition-check samples, sampled in one batch,
+  equal their one-row calls bit for bit (half-space normals here are
+  generic, where one-row and batched kernels could round differently),
 * the three-way harness verdicts agree (the consistency flag).
 
 Exit status 0 when every scene passes; detailed lines otherwise.
@@ -28,7 +31,12 @@ import numpy as np  # noqa: E402
 
 from extsphere.conditions import check_extended_condition, cover_radius  # noqa: E402
 from extsphere.cover import construct_witness  # noqa: E402
-from extsphere.proximal import RadiusField  # noqa: E402
+from extsphere.geom import GeometryError  # noqa: E402
+from extsphere.proximal import (  # noqa: E402
+    RadiusField,
+    sample_unit_normals,
+    sample_unit_normals_many,
+)
 from extsphere.sconvex import equivalence_harness  # noqa: E402
 from extsphere.sets import (  # noqa: E402
     AffineSubspace,
@@ -79,6 +87,27 @@ def random_radius_field(desc, rng):
     return RadiusField.from_sources(rules)
 
 
+def batched_cone_problems(desc, seed: int) -> list[str]:
+    """Cones of the condition check's boundary samples, sampled in one
+    batch, against the one-row call at each sample."""
+    samples = desc.sample_boundary(60, seed=seed)
+    A = np.reshape([a for a, _ in samples], (-1, desc.dim))
+    A = A[desc.boundary_of_interior_many(A)[0]]
+    problems = []
+    for a, cone in zip(A, sample_unit_normals_many(desc, A, rho_max=80.0)):
+        try:
+            one = sample_unit_normals(desc, a, rho_max=80.0)
+        except GeometryError as exc:
+            problems.append(f"seed {seed}: one-row cone call at {a.tolist()} fails: {exc}")
+            continue
+        if not (
+            np.array_equal(one.directions, cone.directions)
+            and np.array_equal(one.realizations, cone.realizations)
+        ):
+            problems.append(f"seed {seed}: batched cone differs from the one-row cone at {a.tolist()}")
+    return problems
+
+
 def run_one(seed: int, with_harness: bool) -> list[str]:
     rng = np.random.default_rng(seed)
     problems: list[str] = []
@@ -107,6 +136,7 @@ def run_one(seed: int, with_harness: bool) -> list[str]:
         problems.append(f"seed {seed}: grid disagreement {worst:.3g} > {2*oracle.h:.3g}")
 
     report = check_extended_condition(desc, rf, boundary_samples=60, seed=seed, rho_max=80.0)
+    problems.extend(batched_cone_problems(desc, seed))
 
     try:
         pts = desc.sample_exterior(60, seed=seed + 1)

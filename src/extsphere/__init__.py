@@ -31,6 +31,7 @@ from .proximal import (
     is_realized_by_sphere,
     realization_radius,
     sample_unit_normals,
+    sample_unit_normals_many,
 )
 from .conditions import (
     ConditionReport,

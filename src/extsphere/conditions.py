@@ -22,11 +22,11 @@ from .geom import INF, ConstructionError, GeometryError, as_tuple, as_vec, norm,
 from .proximal import (
     RHO_MIN,
     RadiusField,
+    cone_margins,
     default_density,
     default_rho_max,
     is_proximal_normal,
-    realization_margins,
-    sample_unit_normals,
+    sample_unit_normals_many,
 )
 from .sets import ClosedSetDesc
 
@@ -145,25 +145,32 @@ def check_extended_condition(
     if missing:
         raise GeometryError(f"radius field does not cover components {missing}")
     samples = desc.sample_boundary(boundary_samples, seed=seed)
+    required = [radius_field.value(a, (label,)) for a, label in samples]
+    P = np.reshape([a for a, _ in samples], (-1, desc.dim))
+    # One classification, one cone call and one margin call for all samples.
+    on, inner = desc.boundary_of_interior_many(P)
+    rows = np.flatnonzero(on)
+    cones = sample_unit_normals_many(desc, P[rows], density=density, rho_max=rho_max)
+    rho_test = [min(required[i], rho_max) if math.isfinite(required[i]) else rho_max for i in rows]
+    margins = cone_margins(desc, P[rows], cones, rho_test)
+    tested = {i: (cone, m) for i, cone, m in zip(rows.tolist(), cones, margins)}
     records: list[BoundarySampleRecord] = []
     notes: list[str] = []
     any_violation = False
     any_marginal = False
-    for a, label in samples:
-        required = radius_field.value(a, (label,))
-        try:
-            classification = BDRY_INT if desc.in_boundary_of_interior(a) else NOT_BDRY_INT
-        except GeometryError:
+    for i, (a, label) in enumerate(samples):
+        if i not in tested:
             records.append(
                 BoundarySampleRecord(
-                    as_tuple(a), label, UNCLASSIFIED, "-", 0, required, (), False, False,
+                    as_tuple(a), label, UNCLASSIFIED, "-", 0, required[i], (), False, False,
                     note="classification failed; sample excluded",
                 )
             )
             continue
+        classification = BDRY_INT if inner[i] else NOT_BDRY_INT
         quantifier = "forall" if (force_forall or classification == NOT_BDRY_INT) else "exists"
         rec = _check_sample(
-            desc, a, label, classification, quantifier, required, density, rho_max, seed
+            desc, a, label, classification, quantifier, required[i], rho_max, seed, *tested[i]
         )
         records.append(rec)
         any_violation |= rec.certificate is not None
@@ -179,8 +186,9 @@ def check_extended_condition(
     return ConditionReport(verdict, records, seed, boundary_samples, density, rho_max, notes)
 
 
-def _check_sample(desc, a, label, classification, quantifier, required, density, rho_max, seed):
-    cone = sample_unit_normals(desc, a, density=density, rho_max=rho_max)
+def _check_sample(desc, a, label, classification, quantifier, required, rho_max, seed, cone, margins):
+    """The record of one classified sample, from its sampled cone and the
+    cone's realization margins at the required radius (capped at rho_max)."""
     if not cone:
         if quantifier == "exists":
             cert = ViolationCertificate(as_tuple(a), (), 0.0, required, -INF, kind="no-normal-found")
@@ -193,8 +201,6 @@ def _check_sample(desc, a, label, classification, quantifier, required, density,
             note="empty sampled cone; forall holds vacuously",
         )
     dirs = cone.directions
-    rho_test = min(required, rho_max) if math.isfinite(required) else rho_max
-    margins = realization_margins(desc, a, dirs, rho_test)
     ok_mask = margins >= -desc.realize_tol
     marginal_mask = (~ok_mask) & (margins >= -desc.ball_tol)
     reals = tuple(round(r, 12) for r in cone.realizations.tolist())

@@ -16,6 +16,7 @@ inequality itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .geom import (
     INF, GeometryError, as_vec, bisect, ensure_ext_real, ext_min, norm, normalized, unit,
     unit_direction_grid,
 )
-from .sets import ClosedSetDesc, owning_leaves
+from .sets import ClosedSetDesc, _owners, owning_leaves
 
 # Smallest sphere radius at which cone membership is probed.
 RHO_MIN = 1e-6
@@ -437,69 +438,158 @@ def sample_unit_normals(
     extra_directions=None,
     with_realizations: bool = True,
 ) -> Cone:
-    """Sampled unit proximal normal cone at a boundary point.
+    """``sample_unit_normals_many`` at one boundary point."""
+    a = as_vec(a, dim=desc.dim)
+    extra = None if extra_directions is None else [extra_directions]
+    return sample_unit_normals_many(desc, a[None, :], density, rho_max, extra, with_realizations)[0]
+
+
+# Rows of one grid-sweep or realization-bisection batch.  A batch takes
+# whole base points, so it holds at least the rows of one point (every row
+# query gives the same bits on any batch of two rows or more), and stays
+# within this many rows unless one point alone exceeds it, which bounds the
+# memory a batch takes.
+BATCH_ROWS = 16384
+
+
+def _batches(counts):
+    """Slices of consecutive base points with at most ``BATCH_ROWS`` rows
+    in all (one point alone may exceed it)."""
+    start, rows = 0, 0
+    for i, count in enumerate(counts):
+        if rows and rows + count > BATCH_ROWS:
+            yield slice(start, i)
+            start, rows = i, 0
+        rows += count
+    if start < len(counts):
+        yield slice(start, len(counts))
+
+
+def sample_unit_normals_many(
+    desc: ClosedSetDesc,
+    A,
+    density: int | None = None,
+    rho_max: float | None = None,
+    extra_directions=None,
+    with_realizations: bool = True,
+) -> list[Cone]:
+    """Sampled unit proximal normal cone at each boundary point, a row of A.
 
     Sweeps a deterministic direction grid augmented with the analytic normal
-    candidates of the leaves owning the point and the extra directions
-    (each dropped when it equals a grid row or an earlier candidate at 9
-    digits), and keeps the directions whose RHO_MIN tangent sphere misses
-    the set up to the margin noise (the proximal inequality at
-    sigma = 1/(2 RHO_MIN)).  A grid direction a fraction of a step off a
+    candidates of the leaves owning the point and its extra directions
+    (``extra_directions`` holds one sequence of directions per row, or is
+    None; each candidate is dropped when it equals a grid row or an earlier
+    candidate at 9 digits), and keeps the directions whose RHO_MIN tangent
+    sphere misses the set up to the margin noise (the proximal inequality
+    at sigma = 1/(2 RHO_MIN)).  A grid direction a fraction of a step off a
     normal can pass that test too, so a leaf normal that passes absorbs the
     grid directions within one grid step (2 pi / density) of it; the grid's
     own copy of that normal stays.  Every returned direction is, bit for
-    bit, a grid row, a leaf normal or an extra direction.  Returns a
-    ``Cone``: the kept directions (k, d) and their realization radii (k,),
-    NaN without ``with_realizations``.  It may be empty: the cone can be
-    trivial, and every verdict downstream is explicitly "at tested
+    bit, a grid row, a leaf normal or an extra direction.  Returns one
+    ``Cone`` per row: the kept directions (k, d) and their realization
+    radii (k,), NaN without ``with_realizations``.  A cone may be empty: it
+    can be trivial, and every verdict downstream is explicitly "at tested
     density".
+
+    All rows share one boundary check and one owning-leaf query; the sweep
+    and the realization bisection go over the rows of many points at once,
+    in ``_batches``.  The arithmetic is per row and every bisection runs
+    the same number of steps, so each cone equals, bit for bit, the cone of
+    its one-row call.
     """
-    a = as_vec(a, dim=desc.dim)
-    if not desc.on_boundary(a):
-        raise GeometryError(f"point {a.tolist()} is not on the set boundary")
+    A = np.asarray(A, dtype=float).reshape(-1, desc.dim)
+    on = desc.contains_many(A) & ~desc.interior_many(A)
+    if not on.all():
+        raise GeometryError(f"point {A[np.argmin(on)].tolist()} is not on the set boundary")
     density = default_density(desc.dim) if density is None else density
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
     grid, grid_keys = _direction_grid(desc.dim, density)
-    owners = owning_leaves(desc.leaves, a, desc.cluster_tol)
-    cand = [d for leaf in owners for d in leaf.normal_directions(a)]
-    leaf_count = len(cand)
-    if extra_directions is not None:
-        cand.extend(normalized(d) for d in extra_directions)
-    # Row of each candidate in all_dirs: the grid row or earlier candidate
-    # equal to it at 9 digits, else a new row after the grid.
-    rows, extra, fresh = [], [], {}
-    for d in cand:
-        key = np.round(d, 9)
-        on_grid = np.flatnonzero((grid_keys == key).all(axis=1))
-        if on_grid.size:
-            rows.append(int(on_grid[0]))
-            continue
-        key = tuple(key.tolist())
-        if key not in fresh:
-            fresh[key] = len(grid) + len(extra)
-            extra.append(d)
-        rows.append(fresh[key])
-    all_dirs = np.concatenate([grid, np.asarray(extra)]) if extra else grid
-    margins = realization_margins(desc, a, all_dirs, RHO_MIN)
+    owns = _owners(desc.leaves, A, desc.cluster_tol)
+    if extra_directions is None:
+        extra_directions = [None] * A.shape[0]
+    sweeps = []  # per point: all_dirs and the rows of its leaf normals
+    for i, a in enumerate(A):
+        cand = [d for leaf, own in zip(desc.leaves, owns) if own[i] for d in leaf.normal_directions(a)]
+        leaf_count = len(cand)
+        if extra_directions[i] is not None:
+            cand.extend(normalized(d) for d in extra_directions[i])
+        # Row of each candidate in all_dirs: the grid row or earlier
+        # candidate equal to it at 9 digits, else a new row after the grid.
+        rows, extra, fresh = [], [], {}
+        for d in cand:
+            key = np.round(d, 9)
+            on_grid = np.flatnonzero((grid_keys == key).all(axis=1))
+            if on_grid.size:
+                rows.append(int(on_grid[0]))
+                continue
+            key = tuple(key.tolist())
+            if key not in fresh:
+                fresh[key] = len(grid) + len(extra)
+                extra.append(d)
+            rows.append(fresh[key])
+        all_dirs = np.concatenate([grid, np.asarray(extra)]) if extra else grid
+        sweeps.append((all_dirs, rows[:leaf_count]))
+    margins = _per_point(
+        A, [dirs for dirs, _ in sweeps], lambda B, D, _: realization_margins(desc, B, D, RHO_MIN)
+    )
     noise = desc.margin_noise
-    kept = np.flatnonzero(margins >= -noise)
-    # A grid direction a fraction of a step off a leaf normal has a margin
-    # of about -RHO_MIN * angle^2 / 2, which can sit inside the noise band:
-    # each leaf normal that passes absorbs the grid directions within one
-    # grid step of it, keeping the grid's own copy of itself.
-    normals = [row for row in rows[:leaf_count] if margins[row] >= -noise]
-    if normals:
-        step_cos = math.cos(2.0 * math.pi / density)
-        near = np.max(all_dirs[kept] @ all_dirs[normals].T, axis=1) > step_cos
-        kept = kept[~(near & (kept < len(grid)) & ~np.isin(kept, normals))]
-    directions = all_dirs[kept]
-    if with_realizations and len(kept):
-        return Cone(directions, _batch_realizations(desc, a, directions, rho_max))
-    return Cone(directions, np.full(len(kept), math.nan))
+    step_cos = math.cos(2.0 * math.pi / density)
+    directions = []
+    for (all_dirs, leaf_rows), m in zip(sweeps, margins):
+        kept = np.flatnonzero(m >= -noise)
+        # A grid direction a fraction of a step off a leaf normal has a
+        # margin of about -RHO_MIN * angle^2 / 2, which can sit inside the
+        # noise band: each leaf normal that passes absorbs the grid
+        # directions within one grid step of it, keeping the grid's own
+        # copy of itself.
+        normals = [row for row in leaf_rows if m[row] >= -noise]
+        if normals:
+            near = np.max(all_dirs[kept] @ all_dirs[normals].T, axis=1) > step_cos
+            kept = kept[~(near & (kept < len(grid)) & ~np.isin(kept, normals))]
+        directions.append(all_dirs[kept])
+    if with_realizations:
+        reals = _per_point(A, directions, lambda B, D, _: _batch_realizations(desc, B, D, rho_max))
+    else:
+        reals = [np.full(len(dirs), math.nan) for dirs in directions]
+    return [Cone(dirs, r) for dirs, r in zip(directions, reals)]
+
+
+def _per_point(A, dirs, query) -> list[np.ndarray]:
+    """``query(bases, directions, rows)`` over the direction rows of every
+    row of A (``dirs`` holds one (k, d) array per row of A), asked
+    ``_batches`` at a time; ``rows(values)`` repeats one value per point
+    onto that point's direction rows (``bases`` is ``rows(A)``).  Returns
+    one result array per row of A."""
+    sizes = [len(d) for d in dirs]
+    if len(sizes) == 1:
+        # One point: its base point and values broadcast over its rows.
+        return [query(A[0], dirs[0], lambda values: values[0]) if sizes[0] else np.empty(0)]
+    out = []
+    for part in _batches(sizes):
+        def rows(values, part=part):
+            return np.repeat(values[part], sizes[part], axis=0)
+
+        ends = list(itertools.accumulate(sizes[part]))
+        flat = query(rows(A), np.concatenate(dirs[part]), rows) if ends[-1] else np.empty(0)
+        out.extend(flat[lo:hi] for lo, hi in zip([0] + ends, ends))
+    return out
+
+
+def cone_margins(desc: ClosedSetDesc, A, cones, rhos) -> list[np.ndarray]:
+    """Realization margin of every direction of each cone at its base point
+    (a row of A) and radius (one per cone), asked in as few calls as
+    ``_batches`` allows; one margin array per cone."""
+    rhos = np.asarray(rhos, dtype=float)
+    return _per_point(
+        np.asarray(A, dtype=float), [c.directions for c in cones],
+        lambda B, D, rows: realization_margins(desc, B, D, rows(rhos)),
+    )
 
 
 def _batch_realizations(desc, a, dirs, rho_max) -> np.ndarray:
-    """Realization radius of each direction row, bisected in lockstep."""
+    """Realization radius of each direction row, bisected in lockstep; a is
+    one base point, or one per direction row.  Every bracket starts as
+    [RHO_MIN, rho_max], so every row stops after the same halvings."""
     if desc.is_convex():
         return np.full(dirs.shape[0], INF)
     tol = desc.realize_tol
@@ -509,8 +599,9 @@ def _batch_realizations(desc, a, dirs, rho_max) -> np.ndarray:
     if not np.any(todo):
         return out
     sub = dirs[todo]
+    base = a[todo] if a.ndim == 2 else a
     lo, hi = bisect(
-        lambda mid: realization_margins(desc, a, sub, mid) >= -tol,
+        lambda mid: realization_margins(desc, base, sub, mid) >= -tol,
         np.full(sub.shape[0], RHO_MIN), np.full(sub.shape[0], rho_max),
         width=_BISECT_REL_TOL * rho_max,
     )

@@ -30,11 +30,12 @@ from .geom import GeometryError, as_tuple, as_vec, bisect, norm
 from .conditions import ConditionReport, check_extended_condition
 from .proximal import (
     RadiusField,
+    cone_margins,
     default_density,
     default_rho_max,
     first_boundary_return,
     realization_margins,
-    sample_unit_normals,
+    sample_unit_normals_many,
 )
 from .sets import ClosedSetDesc, SetError
 
@@ -59,6 +60,8 @@ class EnvelopeContext:
         self.density = default_density(desc.dim) if density is None else density
         self.rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
         self._realizable_memo: dict[tuple, bool] = {}
+        # Labels and answer of each point of the last ``_fetch_realizable``.
+        self._fetched: dict[bytes, tuple] = {}
 
     def _key(self, a) -> tuple:
         return tuple(np.round(np.asarray(a, dtype=float), 9))
@@ -75,18 +78,42 @@ class EnvelopeContext:
         key = self._key(a)
         if key not in self._realizable_memo:
             a = as_vec(a, dim=self.desc.dim)
-            required = self.boundary_radius(a, labels)
-            rho_test = min(required, self.rho_max) if math.isfinite(required) else self.rho_max
-            cone = sample_unit_normals(
-                self.desc, a, density=self.density, rho_max=self.rho_max,
-                with_realizations=False,
-            )
-            ok = False
-            if cone:
-                margins = realization_margins(self.desc, a, cone.directions, rho_test)
-                ok = bool(np.any(margins >= -self.desc.realize_tol))
+            fetched = self._fetched.get(a.tobytes())
+            if fetched is not None and fetched[0] == labels:
+                ok = fetched[1]
+            else:
+                ok = self._realizable_many(a[None, :], [labels])[0]
             self._realizable_memo[key] = ok
         return self._realizable_memo[key]
+
+    def _fetch_realizable(self, points, labels) -> None:
+        """Work out, with one cone call, what ``realizable_boundary_point``
+        will answer for the points (each with its labels) whose memo key is
+        not memoised yet, the first point per key.  The answers wait apart
+        until that point is asked with those labels, so the memo still
+        takes the points in the order they are asked."""
+        todo = {}
+        for p, lab in zip(points, labels):
+            todo.setdefault(self._key(p), (p, lab))
+        todo = [hit for key, hit in todo.items() if key not in self._realizable_memo]
+        self._fetched = {}
+        if todo:
+            A = np.asarray([p for p, _ in todo])
+            oks = self._realizable_many(A, [lab for _, lab in todo])
+            self._fetched = {p.tobytes(): (lab, ok) for (p, lab), ok in zip(todo, oks)}
+
+    def _realizable_many(self, A, labels) -> list[bool]:
+        """``realizable_boundary_point`` of each row of A with its labels,
+        from one cone call and one margin call."""
+        rho_test = []
+        for a, lab in zip(A, labels):
+            required = self.boundary_radius(a, lab)
+            rho_test.append(min(required, self.rho_max) if math.isfinite(required) else self.rho_max)
+        cones = sample_unit_normals_many(
+            self.desc, A, density=self.density, rho_max=self.rho_max, with_realizations=False,
+        )
+        margins = cone_margins(self.desc, A, cones, rho_test)
+        return [bool(np.any(m >= -self.desc.realize_tol)) for m in margins]
 
 
 def is_realizable_boundary_point(ctx: EnvelopeContext, a) -> bool:
@@ -142,12 +169,14 @@ def _zones_many(ctx: EnvelopeContext, P, zones, capped: bool = False):
     the zones, tried in the order of ``ZONES``.
 
     One membership call, one projection call on the exterior rows, one
-    realization-margin call for the reach zone, and one classification of
-    the projection points (boundary of the interior or not) for the rest.
-    The thin and unrealizable zones, which read the radius field and the
-    memoised realizability, then go row by row, cluster by cluster, and
-    stop where a one-row question stops, so the memo is asked the same
-    points in the same order.
+    realization-margin call for the reach zone, one classification of the
+    projection points (boundary of the interior or not) for the rest, and,
+    for the unrealizable zone, one cone call that works out the
+    realizability of every boundary-of-interior projection point not
+    memoised yet.  The thin and unrealizable zones, which read the radius
+    field and the memoised realizability, then go row by row, cluster by
+    cluster, and stop where a one-row question stops, so the memo is asked
+    the same points in the same order.
     """
     desc = ctx.desc
     P = np.asarray(P, dtype=float).reshape(-1, desc.dim)
@@ -163,6 +192,10 @@ def _zones_many(ctx: EnvelopeContext, P, zones, capped: bool = False):
     rest = np.flatnonzero(~took) if thin or unrealizable else []
     points = [p for r in rest for p in projs[r].points]
     on, inner = desc.boundary_of_interior_many(np.reshape(points, (-1, desc.dim)))
+    if unrealizable:
+        labels = [lab for r in rest for lab in projs[r].labels]
+        asked = np.flatnonzero(on & inner).tolist()
+        ctx._fetch_realizable([points[k] for k in asked], [labels[k] for k in asked])
     first = 0
     for r in rest:
         proj = projs[r]
@@ -320,9 +353,10 @@ def normal_segments(desc, boundary_samples, density, seed, rho_max):
     density = default_density(desc.dim) if density is None else density
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
     samples = desc.sample_boundary(min(boundary_samples, SEGMENT_SAMPLES), seed=seed)
+    A = np.reshape([a for a, _ in samples], (-1, desc.dim))
+    cones = sample_unit_normals_many(desc, A, density=density, rho_max=rho_max)
     bases, dirs, caps = [], [], []
-    for a, _ in samples:
-        cone = sample_unit_normals(desc, a, density=density, rho_max=rho_max)
+    for a, cone in zip(A, cones):
         # Fat cones (isolated points see the whole direction grid) would
         # swamp the pair loop; a deterministic stride keeps a spread.
         stride = max(1, len(cone) // 40)
@@ -403,77 +437,83 @@ def is_s_convex(desc: ClosedSetDesc, s_membership, sample, seed: int) -> SConvex
 
 def _equidistant_probe(desc, s_membership, samples):
     """Find crossings through points equidistant from two components, trying
-    at most 160 sample pairs."""
+    at most 160 sample pairs: the pairs of one label pair are bisected in
+    lockstep, then checked in order up to the first crossing."""
     by_label: dict[str, list[np.ndarray]] = {}
     for p, lab in samples:
         by_label.setdefault(lab, []).append(p)
     labels = sorted(by_label)
     leaf_by_label = {leaf.label: leaf for leaf in desc.leaves}
-    out: list[SConvexityViolation] = []
-    tried = 0
+    budget = 160
     for ii in range(len(labels)):
         for jj in range(ii + 1, len(labels)):
+            if budget <= 0:
+                return []
             li, lj = leaf_by_label[labels[ii]], leaf_by_label[labels[jj]]
-            pool_i, pool_j = by_label[labels[ii]], by_label[labels[jj]]
-            for p_i in pool_i[:8]:
-                for p_j in pool_j[:8]:
-                    if tried >= 160 or out:
-                        return out
-                    tried += 1
-                    hit = _bisect_equidistant(desc, li, lj, p_i, p_j)
-                    if hit is None:
-                        continue
-                    s_pt = hit
-                    if desc.contains(s_pt) or not s_membership(s_pt[None, :])[0]:
-                        continue
-                    proj = desc.project(s_pt)
-                    if proj.multiplicity < 2:
-                        continue
-                    a, b = proj.points[0], proj.points[1]
-                    da, db = norm(s_pt - a), norm(s_pt - b)
-                    if da <= 0.0 or db <= 0.0:
-                        continue
-                    dir_a, dir_b = (s_pt - a) / da, (s_pt - b) / db
-                    ret_a = first_boundary_return(desc, a, dir_a)
-                    ret_b = first_boundary_return(desc, b, dir_b)
-                    slack = 1e-6 * (1.0 + desc.diameter)
-                    if da > ret_a + slack or db > ret_b + slack:
-                        continue
-                    if not (
-                        _segment_in_s(s_membership, a, s_pt)
-                        and _segment_in_s(s_membership, b, s_pt)
-                    ):
-                        continue
-                    out.append(
-                        SConvexityViolation(
-                            as_tuple(a), as_tuple(dir_a), float(da),
-                            as_tuple(b), as_tuple(dir_b), float(db),
-                            as_tuple(s_pt), "equidistant-point",
-                        )
+            pool_i, pool_j = by_label[labels[ii]][:8], by_label[labels[jj]][:8]
+            pairs = [(p_i, p_j) for p_i in pool_i for p_j in pool_j][:budget]
+            budget -= len(pairs)
+            P_i, P_j = (np.asarray(ends) for ends in zip(*pairs))
+            for s_pt in _bisect_equidistant(desc, li, lj, P_i, P_j):
+                if s_pt is None:
+                    continue
+                if desc.contains(s_pt) or not s_membership(s_pt[None, :])[0]:
+                    continue
+                proj = desc.project(s_pt)
+                if proj.multiplicity < 2:
+                    continue
+                a, b = proj.points[0], proj.points[1]
+                da, db = norm(s_pt - a), norm(s_pt - b)
+                if da <= 0.0 or db <= 0.0:
+                    continue
+                dir_a, dir_b = (s_pt - a) / da, (s_pt - b) / db
+                ret_a = first_boundary_return(desc, a, dir_a)
+                ret_b = first_boundary_return(desc, b, dir_b)
+                slack = 1e-6 * (1.0 + desc.diameter)
+                if da > ret_a + slack or db > ret_b + slack:
+                    continue
+                if not (
+                    _segment_in_s(s_membership, a, s_pt)
+                    and _segment_in_s(s_membership, b, s_pt)
+                ):
+                    continue
+                return [
+                    SConvexityViolation(
+                        as_tuple(a), as_tuple(dir_a), float(da),
+                        as_tuple(b), as_tuple(dir_b), float(db),
+                        as_tuple(s_pt), "equidistant-point",
                     )
+                ]
+    return []
+
+
+def _bisect_equidistant(desc, leaf_i, leaf_j, P_i, P_j):
+    """For each row pair (p_i, p_j): the point of the segment between them
+    where the distances to the two leaves agree, or None where the ends do
+    not bracket a sign change of the distance gap or the point found is not
+    a nearest point of the set to both leaves.  The rows are bisected in
+    lockstep, 80 halvings each, two leaf distance calls per halving."""
+
+    def gap(P):
+        return leaf_i.distance_many(P) - leaf_j.distance_many(P)
+
+    out = [None] * P_i.shape[0]
+    g0, g1 = gap(P_i), gap(P_j)
+    rows = np.flatnonzero(~((g0 > 0.0) | (g1 < 0.0) | (g0 == g1)))
+    if rows.size == 0:
+        return out
+    A, D = P_i[rows], P_j[rows] - P_i[rows]
+    lo, hi = bisect(
+        lambda t: gap(A + t[:, None] * D) <= 0.0, np.zeros(rows.size), np.ones(rows.size), steps=80,
+    )
+    S = A + (0.5 * (lo + hi))[:, None] * D
+    d_i, d_j = leaf_i.distance_many(S), leaf_j.distance_many(S)
+    tol = desc.cluster_tol
+    found = ~(np.abs(d_i - d_j) > tol) & ~(d_i > desc.distance_many(S) + tol)
+    for r, s_pt, ok in zip(rows, S, found):
+        if ok:
+            out[r] = s_pt
     return out
-
-
-def _bisect_equidistant(desc, leaf_i, leaf_j, p_i, p_j):
-    def gap(p):
-        P = p[None, :]
-        return float(leaf_i.distance_many(P)[0] - leaf_j.distance_many(P)[0])
-
-    g0, g1 = gap(p_i), gap(p_j)
-    if g0 == 0.0 and g1 == 0.0:
-        return None
-    if g0 > 0.0 or g1 < 0.0 or g0 == g1:
-        return None
-    lo, hi = bisect(lambda t: gap(p_i + t * (p_j - p_i)) <= 0.0, 0.0, 1.0, steps=80)
-    s_pt = p_i + 0.5 * (lo + hi) * (p_j - p_i)
-    P = s_pt[None, :]
-    d_i = float(leaf_i.distance_many(P)[0])
-    d_j = float(leaf_j.distance_many(P)[0])
-    if abs(d_i - d_j) > desc.cluster_tol:
-        return None
-    if d_i > float(desc.distance_many(P)[0]) + desc.cluster_tol:
-        return None
-    return s_pt
 
 
 # ---------------------------------------------------------------------------

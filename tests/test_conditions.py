@@ -87,12 +87,40 @@ class TestCheckExtendedCondition:
         corner = np.array([0.0, 0.0])
 
         desc.sample_boundary = lambda count, seed=0: [(corner, "hx")]
-        desc.in_boundary_of_interior = lambda a: True
+        on = np.ones(1, dtype=bool)
+        desc.boundary_of_interior_many = lambda Q: (on, on)
         exists_report = check_extended_condition(desc, rf, boundary_samples=1, seed=0, rho_max=60.0)
         assert exists_report.verdict == "holds"
-        desc.in_boundary_of_interior = lambda a: False
+        desc.boundary_of_interior_many = lambda Q: (on, ~on)
         forall_report = check_extended_condition(desc, rf, boundary_samples=1, seed=0, rho_max=60.0)
         assert forall_report.verdict == "fails"
+
+    def test_margin_calls_do_not_grow_with_samples(self, strip, monkeypatch):
+        # All samples share one cone call and one margin call at the
+        # required radius: the grid sweep goes BATCH_ROWS rows at a time,
+        # and one lockstep bisection finds every realization radius.
+        from extsphere import proximal
+
+        original = proximal.realization_margins
+
+        def run(samples):
+            calls = []
+
+            def counting(desc, a, dirs, rhos):
+                calls.append((len(dirs), bool(np.all(np.asarray(rhos) == proximal.RHO_MIN))))
+                return original(desc, a, dirs, rhos)
+
+            monkeypatch.setattr(proximal, "realization_margins", counting)
+            report = check_extended_condition(strip.desc, strip.rf, samples, seed=5, rho_max=100.0)
+            monkeypatch.setattr(proximal, "realization_margins", original)
+            assert report.verdict == "holds"
+            sweep_rows = sum(rows for rows, sweep in calls if sweep)
+            sweeps = sum(sweep for _, sweep in calls)
+            # Each sweep batch but the last holds over half of BATCH_ROWS.
+            assert sweeps <= sweep_rows // (proximal.BATCH_ROWS // 2) + 1
+            return len(calls) - sweeps
+
+        assert run(200) <= run(50)
 
     def test_monotone_in_radius_field(self, strip, ball):
         # Shrinking the radius field pointwise never flips holds to fails.

@@ -6,9 +6,11 @@ import pytest
 
 from extsphere.geom import INF, GeometryError, normalized
 from extsphere.proximal import (
+    BATCH_ROWS,
     RHO_MIN,
     NotRealizedError,
     RadiusField,
+    _batches,
     _direction_grid,
     capped_realization_radius,
     default_density,
@@ -18,6 +20,7 @@ from extsphere.proximal import (
     is_realized_by_sphere,
     realization_radius,
     sample_unit_normals,
+    sample_unit_normals_many,
 )
 from extsphere.scene import load_scene, parse_scene
 from extsphere.sets import (
@@ -265,6 +268,64 @@ class TestConeRowsAreSampledDirections:
         desc, a, _ = _line_point(*line)
         cone = _assert_rows_are_sampled_directions(desc, a, default_density(3))
         assert len(cone) > 0
+
+
+def _assert_batch_is_one_row_calls(desc, A, density):
+    """sample_unit_normals_many on the rows of A equals, bit for bit, the
+    one-row call at each row: with and without realizations, without extra
+    directions and with one or two extra directions of its own per row
+    (none on every third row)."""
+    rng = np.random.default_rng(3)
+    extras = [None if i % 3 == 2 else list(rng.normal(size=(i % 3 + 1, desc.dim))) for i in range(len(A))]
+    for extra in (None, extras):
+        for with_realizations in (True, False):
+            cones = sample_unit_normals_many(desc, A, density, None, extra, with_realizations)
+            assert len(cones) == len(A)
+            for i, (a, cone) in enumerate(zip(A, cones)):
+                one = sample_unit_normals(
+                    desc, a, density, None, None if extra is None else extra[i], with_realizations
+                )
+                assert np.array_equal(cone.directions, one.directions), a
+                assert np.array_equal(cone.realizations, one.realizations, equal_nan=True), a
+
+
+class TestBatchedConesAreOneRowCones:
+    """A batched cone call sweeps and bisects the rows of many base points
+    at once and still gives each point the cone of its one-row call."""
+
+    @pytest.mark.parametrize("name", [
+        "strip", "lineplane", "ball", "ballcomplement", "halfplane", "pointset", "polydisk", "cubeline",
+    ])
+    def test_golden_scene_boundary_samples(self, name):
+        scene = _golden_scene(name)
+        desc = scene.desc
+        density = scene.samples.density or default_density(desc.dim)
+        # Enough samples for a sweep of more than BATCH_ROWS rows where the
+        # scene offers them (pointset has three points).
+        samples = desc.sample_boundary(24 if desc.dim == 2 else 10, seed=scene.samples.seed)
+        A = np.asarray([a for a, _ in samples])
+        sweep_batches = list(_batches([len(_direction_grid(desc.dim, density)[0])] * len(A)))
+        assert len(sweep_batches) >= (1 if name == "pointset" else 2)
+        _assert_batch_is_one_row_calls(desc, A, density)
+
+    def test_pentagon_vertex(self):
+        desc, vertex = _pentagon_vertex()
+        A = np.asarray([vertex] + [a for a, _ in desc.sample_boundary(6, seed=2)])
+        _assert_batch_is_one_row_calls(desc, A, 720)
+
+    @pytest.mark.parametrize("line", LINES_3D)
+    def test_line_point(self, line):
+        desc, a, _ = _line_point(*line)
+        A = np.asarray([a] + [p for p, _ in desc.sample_boundary(3, seed=2)])
+        _assert_batch_is_one_row_calls(desc, A, default_density(3))
+
+    def test_batches_take_whole_points(self):
+        # A batch never splits a point's rows and stays within BATCH_ROWS
+        # unless one point alone exceeds it.
+        counts = [700, 0, 9000, 9000, BATCH_ROWS + 5, 3, 1]
+        parts = list(_batches(counts))
+        assert parts == [slice(0, 3), slice(3, 4), slice(4, 5), slice(5, 7)]
+        assert list(_batches([])) == []
 
 
 class TestConeGeometry:
