@@ -151,7 +151,7 @@ def check_extended_condition(
     on, inner = desc.boundary_of_interior_many(P)
     rows = np.flatnonzero(on)
     cones = sample_unit_normals_many(desc, P[rows], density=density, rho_max=rho_max)
-    rho_test = [min(required[i], rho_max) if math.isfinite(required[i]) else rho_max for i in rows]
+    rho_test = [min(required[i], rho_max) for i in rows]
     margins = cone_margins(desc, P[rows], cones, rho_test)
     tested = {i: (cone, m) for i, cone, m in zip(rows.tolist(), cones, margins)}
     records: list[BoundarySampleRecord] = []

@@ -105,10 +105,7 @@ class EnvelopeContext:
     def _realizable_many(self, A, labels) -> list[bool]:
         """``realizable_boundary_point`` of each row of A with its labels,
         from one cone call and one margin call."""
-        rho_test = []
-        for a, lab in zip(A, labels):
-            required = self.boundary_radius(a, lab)
-            rho_test.append(min(required, self.rho_max) if math.isfinite(required) else self.rho_max)
+        rho_test = [min(self.boundary_radius(a, lab), self.rho_max) for a, lab in zip(A, labels)]
         cones = sample_unit_normals_many(
             self.desc, A, density=self.density, rho_max=self.rho_max, with_realizations=False,
         )
