@@ -10,8 +10,9 @@ checks, per scene:
 * every constructed witness is sound against the analytic distance,
 * on scenes where the condition holds, witness construction never fails,
 * the normal cones of the condition-check samples, sampled in one batch,
-  equal their one-row calls bit for bit (half-space normals here are
-  generic, where one-row and batched kernels could round differently),
+  equal their one-row calls bit for bit, and so do the equidistant points
+  that the S-convexity probe bisects in lockstep (half-space normals here
+  are generic, where one-row and batched kernels could round differently),
 * the three-way harness verdicts agree (the consistency flag).
 
 Exit status 0 when every scene passes; detailed lines otherwise.
@@ -37,7 +38,7 @@ from extsphere.proximal import (  # noqa: E402
     sample_unit_normals,
     sample_unit_normals_many,
 )
-from extsphere.sconvex import equivalence_harness  # noqa: E402
+from extsphere.sconvex import _bisect_equidistant, equivalence_harness  # noqa: E402
 from extsphere.sets import (  # noqa: E402
     AffineSubspace,
     BallComplement,
@@ -108,6 +109,32 @@ def batched_cone_problems(desc, seed: int) -> list[str]:
     return problems
 
 
+def lockstep_probe_problems(desc, seed: int) -> list[str]:
+    """Equidistant points of the S-convexity probe, bisected in lockstep
+    for the sample pairs of each label pair as the probe does, against the
+    one-pair bisection of each pair."""
+    by_label: dict[str, list[np.ndarray]] = {}
+    for p, lab in desc.sample_boundary(40, seed=seed):
+        by_label.setdefault(lab, []).append(p)
+    leaf_by_label = {leaf.label: leaf for leaf in desc.leaves}
+    labels = sorted(by_label)
+    problems = []
+    for ii, lab_i in enumerate(labels):
+        for lab_j in labels[ii + 1:]:
+            li, lj = leaf_by_label[lab_i], leaf_by_label[lab_j]
+            pairs = [(p, q) for p in by_label[lab_i][:8] for q in by_label[lab_j][:8]]
+            P_i, P_j = (np.asarray(ends) for ends in zip(*pairs))
+            lockstep = _bisect_equidistant(desc, li, lj, P_i, P_j)
+            for r, s_pt in enumerate(lockstep):
+                one = _bisect_equidistant(desc, li, lj, P_i[r:r + 1], P_j[r:r + 1])[0]
+                if (one is None) != (s_pt is None) or (one is not None and not np.array_equal(one, s_pt)):
+                    problems.append(
+                        f"seed {seed}: lockstep equidistant point differs from the one-pair "
+                        f"bisection between {P_i[r].tolist()} and {P_j[r].tolist()}"
+                    )
+    return problems
+
+
 def run_one(seed: int, with_harness: bool) -> list[str]:
     rng = np.random.default_rng(seed)
     problems: list[str] = []
@@ -137,6 +164,7 @@ def run_one(seed: int, with_harness: bool) -> list[str]:
 
     report = check_extended_condition(desc, rf, boundary_samples=60, seed=seed, rho_max=80.0)
     problems.extend(batched_cone_problems(desc, seed))
+    problems.extend(lockstep_probe_problems(desc, seed))
 
     try:
         pts = desc.sample_exterior(60, seed=seed + 1)

@@ -340,7 +340,7 @@ def realization_radius(
         raise NotRealizedError(
             f"direction {zeta.tolist()} at {a.tolist()} is not realized at rho={RHO_MIN}"
         )
-    return float(_batch_realizations(desc, a, zeta[None, :], rho_max)[0])
+    return float(_batch_realizations(desc, a[None, :], zeta[None, :], rho_max)[0])
 
 
 def capped_realization_radius(
@@ -440,6 +440,8 @@ def sample_unit_normals(
 ) -> Cone:
     """``sample_unit_normals_many`` at one boundary point."""
     a = as_vec(a, dim=desc.dim)
+    if not desc.on_boundary(a):
+        raise GeometryError(f"point {a.tolist()} is not on the set boundary")
     extra = None if extra_directions is None else [extra_directions]
     return sample_unit_normals_many(desc, a[None, :], density, rho_max, extra, with_realizations)[0]
 
@@ -491,16 +493,15 @@ def sample_unit_normals_many(
     can be trivial, and every verdict downstream is explicitly "at tested
     density".
 
-    All rows share one boundary check and one owning-leaf query; the sweep
-    and the realization bisection go over the rows of many points at once,
-    in ``_batches``.  The arithmetic is per row and every bisection runs
-    the same number of steps, so each cone equals, bit for bit, the cone of
-    its one-row call.
+    The rows must be boundary points: the caller's classification of them
+    (``sample_boundary``, ``boundary_of_interior_many``) is the one that
+    decides, and no second check on another row count can overrule it.
+    All rows share one owning-leaf query; the sweep and the realization
+    bisection go over the rows of many points at once, in ``_batches``.
+    The arithmetic is per row and every bisection runs the same number of
+    steps, so each cone equals, bit for bit, the cone of its one-row call.
     """
     A = np.asarray(A, dtype=float).reshape(-1, desc.dim)
-    on = desc.contains_many(A) & ~desc.interior_many(A)
-    if not on.all():
-        raise GeometryError(f"point {A[np.argmin(on)].tolist()} is not on the set boundary")
     density = default_density(desc.dim) if density is None else density
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
     grid, grid_keys = _direction_grid(desc.dim, density)
@@ -561,9 +562,6 @@ def _per_point(A, dirs, query) -> list[np.ndarray]:
     onto that point's direction rows (``bases`` is ``rows(A)``).  Returns
     one result array per row of A."""
     sizes = [len(d) for d in dirs]
-    if len(sizes) == 1:
-        # One point: its base point and values broadcast over its rows.
-        return [query(A[0], dirs[0], lambda values: values[0]) if sizes[0] else np.empty(0)]
     out = []
     for part in _batches(sizes):
         def rows(values, part=part):
@@ -587,8 +585,8 @@ def cone_margins(desc: ClosedSetDesc, A, cones, rhos) -> list[np.ndarray]:
 
 
 def _batch_realizations(desc, a, dirs, rho_max) -> np.ndarray:
-    """Realization radius of each direction row, bisected in lockstep; a is
-    one base point, or one per direction row.  Every bracket starts as
+    """Realization radius of each direction row at its base point (a row of
+    a per direction row), bisected in lockstep.  Every bracket starts as
     [RHO_MIN, rho_max], so every row stops after the same halvings."""
     if desc.is_convex():
         return np.full(dirs.shape[0], INF)
@@ -599,7 +597,7 @@ def _batch_realizations(desc, a, dirs, rho_max) -> np.ndarray:
     if not np.any(todo):
         return out
     sub = dirs[todo]
-    base = a[todo] if a.ndim == 2 else a
+    base = a[todo]
     lo, hi = bisect(
         lambda mid: realization_margins(desc, base, sub, mid) >= -tol,
         np.full(sub.shape[0], RHO_MIN), np.full(sub.shape[0], rho_max),

@@ -60,8 +60,6 @@ class EnvelopeContext:
         self.density = default_density(desc.dim) if density is None else density
         self.rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
         self._realizable_memo: dict[tuple, bool] = {}
-        # Labels and answer of each point of the last ``_fetch_realizable``.
-        self._fetched: dict[bytes, tuple] = {}
 
     def _key(self, a) -> tuple:
         return tuple(np.round(np.asarray(a, dtype=float), 9))
@@ -70,37 +68,36 @@ class EnvelopeContext:
         labels = self.desc.boundary_labels_at(a) if labels is None else labels
         return self.radius_field.value(a, labels)
 
-    def realizable_boundary_point(self, a, labels=None) -> bool:
+    def realizable_boundary_point(self, a, labels=None, ahead=None) -> bool:
         """Whether some sampled unit normal at a reaches the boundary radius.
 
         Only meaningful for boundary-of-interior points (the callers check).
+        ``ahead`` holds answers worked out before they are asked (see
+        ``realizable_ahead``); the memo takes one when its point is asked.
         """
         key = self._key(a)
         if key not in self._realizable_memo:
             a = as_vec(a, dim=self.desc.dim)
-            fetched = self._fetched.get(a.tobytes())
-            if fetched is not None and fetched[0] == labels:
-                ok = fetched[1]
-            else:
+            ok = (ahead or {}).get((a.tobytes(), labels))
+            if ok is None:
                 ok = self._realizable_many(a[None, :], [labels])[0]
             self._realizable_memo[key] = ok
         return self._realizable_memo[key]
 
-    def _fetch_realizable(self, points, labels) -> None:
-        """Work out, with one cone call, what ``realizable_boundary_point``
-        will answer for the points (each with its labels) whose memo key is
-        not memoised yet, the first point per key.  The answers wait apart
-        until that point is asked with those labels, so the memo still
-        takes the points in the order they are asked."""
+    def realizable_ahead(self, points, labels) -> dict:
+        """What ``realizable_boundary_point`` will answer for the points (each
+        with its labels) whose memo key is not memoised yet, the first point
+        per key, worked out with one cone call; keyed by the point's bytes
+        and its labels.  The memo itself still takes the points in the order
+        they are asked."""
         todo = {}
         for p, lab in zip(points, labels):
             todo.setdefault(self._key(p), (p, lab))
         todo = [hit for key, hit in todo.items() if key not in self._realizable_memo]
-        self._fetched = {}
-        if todo:
-            A = np.asarray([p for p, _ in todo])
-            oks = self._realizable_many(A, [lab for _, lab in todo])
-            self._fetched = {p.tobytes(): (lab, ok) for (p, lab), ok in zip(todo, oks)}
+        if not todo:
+            return {}
+        oks = self._realizable_many(np.asarray([p for p, _ in todo]), [lab for _, lab in todo])
+        return {(p.tobytes(), lab): ok for (p, lab), ok in zip(todo, oks)}
 
     def _realizable_many(self, A, labels) -> list[bool]:
         """``realizable_boundary_point`` of each row of A with its labels,
@@ -151,9 +148,9 @@ def _thin_zone(ctx: EnvelopeContext, proj, interior) -> bool:
     )
 
 
-def _unrealizable_zone(ctx: EnvelopeContext, proj, interior) -> bool:
+def _unrealizable_zone(ctx: EnvelopeContext, proj, interior, ahead) -> bool:
     return any(
-        interior(k) and not ctx.realizable_boundary_point(p, labels)
+        interior(k) and not ctx.realizable_boundary_point(p, labels, ahead)
         for k, (p, labels) in enumerate(zip(proj.points, proj.labels))
     )
 
@@ -189,10 +186,11 @@ def _zones_many(ctx: EnvelopeContext, P, zones, capped: bool = False):
     rest = np.flatnonzero(~took) if thin or unrealizable else []
     points = [p for r in rest for p in projs[r].points]
     on, inner = desc.boundary_of_interior_many(np.reshape(points, (-1, desc.dim)))
+    ahead = {}
     if unrealizable:
         labels = [lab for r in rest for lab in projs[r].labels]
         asked = np.flatnonzero(on & inner).tolist()
-        ctx._fetch_realizable([points[k] for k in asked], [labels[k] for k in asked])
+        ahead = ctx.realizable_ahead([points[k] for k in asked], [labels[k] for k in asked])
     first = 0
     for r in rest:
         proj = projs[r]
@@ -203,7 +201,7 @@ def _zones_many(ctx: EnvelopeContext, P, zones, capped: bool = False):
             return bool(inner[base + k])
 
         took[r] = (thin and _thin_zone(ctx, proj, interior)) or (
-            unrealizable and _unrealizable_zone(ctx, proj, interior)
+            unrealizable and _unrealizable_zone(ctx, proj, interior, ahead)
         )
         first += proj.multiplicity
     hit[rows] = took
@@ -489,10 +487,12 @@ def _bisect_equidistant(desc, leaf_i, leaf_j, P_i, P_j):
     where the distances to the two leaves agree, or None where the ends do
     not bracket a sign change of the distance gap or the point found is not
     a nearest point of the set to both leaves.  The rows are bisected in
-    lockstep, 80 halvings each, two leaf distance calls per halving."""
+    lockstep, 80 halvings each, two leaf distance calls per halving; the
+    leaf distances carry one-row bits (``distance_rows``), so the point a
+    row finds does not depend on the other rows."""
 
     def gap(P):
-        return leaf_i.distance_many(P) - leaf_j.distance_many(P)
+        return leaf_i.distance_rows(P) - leaf_j.distance_rows(P)
 
     out = [None] * P_i.shape[0]
     g0, g1 = gap(P_i), gap(P_j)
@@ -504,7 +504,7 @@ def _bisect_equidistant(desc, leaf_i, leaf_j, P_i, P_j):
         lambda t: gap(A + t[:, None] * D) <= 0.0, np.zeros(rows.size), np.ones(rows.size), steps=80,
     )
     S = A + (0.5 * (lo + hi))[:, None] * D
-    d_i, d_j = leaf_i.distance_many(S), leaf_j.distance_many(S)
+    d_i, d_j = leaf_i.distance_rows(S), leaf_j.distance_rows(S)
     tol = desc.cluster_tol
     found = ~(np.abs(d_i - d_j) > tol) & ~(d_i > desc.distance_many(S) + tol)
     for r, s_pt, ok in zip(rows, S, found):

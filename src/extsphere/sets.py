@@ -82,6 +82,12 @@ class Primitive:
     def boundary_distance_many(self, P: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def distance_rows(self, P: np.ndarray) -> np.ndarray:
+        """``distance_many`` with, in every row, the bits of a one-row call,
+        whatever the row count (they differ only on ``HalfSpace`` and
+        ``Slab``)."""
+        return self.distance_many(P)
+
     def project_many(self, X: np.ndarray) -> np.ndarray:
         """One closest point per row (unique for convex leaves).  Dots and
         norms are taken per row (``np.vecdot``), so a row's point does not
@@ -173,6 +179,11 @@ class HalfSpace(Primitive):
 
     def distance_many(self, P, tol=0.0):
         return np.maximum(0.0, self._gap(P))
+
+    def distance_rows(self, P):
+        # A one-row ``P @ n`` is the dot chain ``np.vecdot`` gives every
+        # row; BLAS gemv sums two rows or more in another order.
+        return np.maximum(0.0, np.vecdot(P, self.normal) - self.offset)
 
     def boundary_distance_many(self, P):
         return np.abs(self._gap(P))
@@ -441,7 +452,13 @@ class Slab(Primitive):
         return (g > self.lo + tol) & (g < self.hi - tol)
 
     def distance_many(self, P, tol=0.0):
-        g = self._g(P)
+        return self._distance(self._g(P))
+
+    def distance_rows(self, P):
+        # See ``HalfSpace.distance_rows``.
+        return self._distance(np.vecdot(P, self.normal))
+
+    def _distance(self, g):
         return np.maximum(0.0, np.maximum(g - self.hi, self.lo - g))
 
     def boundary_distance_many(self, P):

@@ -319,6 +319,22 @@ class TestBatchedConesAreOneRowCones:
         A = np.asarray([a] + [p for p, _ in desc.sample_boundary(3, seed=2)])
         _assert_batch_is_one_row_calls(desc, A, default_density(3))
 
+    def test_rows_are_not_classified_again(self, strip, monkeypatch):
+        # The caller's classification of the rows decides; a second check
+        # on another row count could overrule it at the tolerance edge.
+        A = np.asarray([a for a, _ in strip.desc.sample_boundary(4, seed=1)])
+
+        def refuse(P):
+            raise AssertionError("cone call classified its rows")
+
+        monkeypatch.setattr(strip.desc, "contains_many", refuse)
+        monkeypatch.setattr(strip.desc, "interior_many", refuse)
+        assert all(len(cone) for cone in sample_unit_normals_many(strip.desc, A, rho_max=100.0))
+
+    def test_one_row_call_rejects_off_boundary_base(self, strip):
+        with pytest.raises(GeometryError):
+            sample_unit_normals(strip.desc, (0.0, 1.0))
+
     def test_batches_take_whole_points(self):
         # A batch never splits a point's rows and stays within BATCH_ROWS
         # unless one point alone exceeds it.
