@@ -68,46 +68,36 @@ class EnvelopeContext:
         labels = self.desc.boundary_labels_at(a) if labels is None else labels
         return self.radius_field.value(a, labels)
 
-    def realizable_boundary_point(self, a, labels=None, ahead=None) -> bool:
-        """Whether some sampled unit normal at a reaches the boundary radius.
+    def realizable_many(self, A, labels) -> np.ndarray:
+        """Whether some sampled unit normal at each row of A (with its labels,
+        None to look them up) reaches the boundary radius there.
 
-        Only meaningful for boundary-of-interior points (the callers check).
-        ``ahead`` holds answers worked out before they are asked (see
-        ``realizable_ahead``); the memo takes one when its point is asked.
+        Memoised per point rounded to 9 digits: the first row asked for a key
+        decides it, and the rows that decide new keys share one cone call and
+        one margin call.  Only meaningful for boundary-of-interior points (the
+        callers check).
         """
-        key = self._key(a)
-        if key not in self._realizable_memo:
-            a = as_vec(a, dim=self.desc.dim)
-            ok = (ahead or {}).get((a.tobytes(), labels))
-            if ok is None:
-                ok = self._realizable_many(a[None, :], [labels])[0]
-            self._realizable_memo[key] = ok
-        return self._realizable_memo[key]
+        A = np.asarray(A, dtype=float).reshape(-1, self.desc.dim)
+        keys = [self._key(a) for a in A]
+        new: dict[tuple, int] = {}
+        for k, key in enumerate(keys):
+            if key not in self._realizable_memo:
+                new.setdefault(key, k)
+        if new:
+            rows = list(new.values())
+            rho_test = [min(self.boundary_radius(A[k], labels[k]), self.rho_max) for k in rows]
+            cones = sample_unit_normals_many(
+                self.desc, A[rows], density=self.density, rho_max=self.rho_max,
+                with_realizations=False,
+            )
+            margins = cone_margins(self.desc, A[rows], cones, rho_test)
+            for key, m in zip(new, margins):
+                self._realizable_memo[key] = bool(np.any(m >= -self.desc.realize_tol))
+        return np.array([self._realizable_memo[key] for key in keys], dtype=bool)
 
-    def realizable_ahead(self, points, labels) -> dict:
-        """What ``realizable_boundary_point`` will answer for the points (each
-        with its labels) whose memo key is not memoised yet, the first point
-        per key, worked out with one cone call; keyed by the point's bytes
-        and its labels.  The memo itself still takes the points in the order
-        they are asked."""
-        todo = {}
-        for p, lab in zip(points, labels):
-            todo.setdefault(self._key(p), (p, lab))
-        todo = [hit for key, hit in todo.items() if key not in self._realizable_memo]
-        if not todo:
-            return {}
-        oks = self._realizable_many(np.asarray([p for p, _ in todo]), [lab for _, lab in todo])
-        return {(p.tobytes(), lab): ok for (p, lab), ok in zip(todo, oks)}
-
-    def _realizable_many(self, A, labels) -> list[bool]:
-        """``realizable_boundary_point`` of each row of A with its labels,
-        from one cone call and one margin call."""
-        rho_test = [min(self.boundary_radius(a, lab), self.rho_max) for a, lab in zip(A, labels)]
-        cones = sample_unit_normals_many(
-            self.desc, A, density=self.density, rho_max=self.rho_max, with_realizations=False,
-        )
-        margins = cone_margins(self.desc, A, cones, rho_test)
-        return [bool(np.any(m >= -self.desc.realize_tol)) for m in margins]
+    def realizable_boundary_point(self, a, labels=None) -> bool:
+        """``realizable_many`` of one point."""
+        return bool(self.realizable_many(as_vec(a, dim=self.desc.dim)[None, :], [labels])[0])
 
 
 def is_realizable_boundary_point(ctx: EnvelopeContext, a) -> bool:
@@ -141,36 +131,20 @@ def _reach_rows(ctx: EnvelopeContext, X, projs, capped: bool) -> np.ndarray:
     return out
 
 
-def _thin_zone(ctx: EnvelopeContext, proj, interior) -> bool:
-    return any(
-        not interior(k) and proj.distance < ctx.boundary_radius(p, labels)
-        for k, (p, labels) in enumerate(zip(proj.points, proj.labels))
-    )
-
-
-def _unrealizable_zone(ctx: EnvelopeContext, proj, interior, ahead) -> bool:
-    return any(
-        interior(k) and not ctx.realizable_boundary_point(p, labels, ahead)
-        for k, (p, labels) in enumerate(zip(proj.points, proj.labels))
-    )
-
-
 ZONES = ("reach", "thin", "unrealizable")
 
 
 def _zones_many(ctx: EnvelopeContext, P, zones, capped: bool = False):
     """Two masks over the rows of P: in the set, and outside it in one of
-    the zones, tried in the order of ``ZONES``.
+    the zones of ``ZONES``.
 
-    One membership call, one projection call on the exterior rows, one
-    realization-margin call for the reach zone, one classification of the
-    projection points (boundary of the interior or not) for the rest, and,
-    for the unrealizable zone, one cone call that works out the
-    realizability of every boundary-of-interior projection point not
-    memoised yet.  The thin and unrealizable zones, which read the radius
-    field and the memoised realizability, then go row by row, cluster by
-    cluster, and stop where a one-row question stops, so the memo is asked
-    the same points in the same order.
+    One membership call, one projection call on the exterior rows and one
+    realization-margin call for the reach zone.  The projection points of
+    the rows the reach zone did not take are then classified in one call
+    (boundary of the interior or not); the thin zone is decided on the
+    interior-free points, and the unrealizable zone with one
+    ``realizable_many`` call on the boundary-of-interior points of the rows
+    still open.  Each zone takes a row when any of its points qualifies.
     """
     desc = ctx.desc
     P = np.asarray(P, dtype=float).reshape(-1, desc.dim)
@@ -182,28 +156,28 @@ def _zones_many(ctx: EnvelopeContext, P, zones, capped: bool = False):
     X = P[rows]
     projs = desc.project_many(X)
     took = _reach_rows(ctx, X, projs, capped) if "reach" in zones else np.zeros(rows.size, bool)
-    thin, unrealizable = "thin" in zones, "unrealizable" in zones
-    rest = np.flatnonzero(~took) if thin or unrealizable else []
-    points = [p for r in rest for p in projs[r].points]
-    on, inner = desc.boundary_of_interior_many(np.reshape(points, (-1, desc.dim)))
-    ahead = {}
-    if unrealizable:
-        labels = [lab for r in rest for lab in projs[r].labels]
-        asked = np.flatnonzero(on & inner).tolist()
-        ahead = ctx.realizable_ahead([points[k] for k in asked], [labels[k] for k in asked])
-    first = 0
-    for r in rest:
-        proj = projs[r]
+    rest = np.flatnonzero(~took) if "thin" in zones or "unrealizable" in zones else []
+    owner = np.asarray([r for r in rest for _ in projs[r].points], dtype=int)
+    points = np.reshape([p for r in rest for p in projs[r].points], (-1, desc.dim))
+    labels = [lab for r in rest for lab in projs[r].labels]
+    on, inner = desc.boundary_of_interior_many(points)
+    if not on.all():
+        k = int(np.argmin(on))
+        raise GeometryError(f"point {points[k].tolist()} is not on the set boundary")
 
-        def interior(k, base=first):
-            if not on[base + k]:
-                raise GeometryError(f"point {proj.points[k].tolist()} is not on the set boundary")
-            return bool(inner[base + k])
+    def by_row(mask):
+        return np.bincount(owner[mask], minlength=rows.size) > 0
 
-        took[r] = (thin and _thin_zone(ctx, proj, interior)) or (
-            unrealizable and _unrealizable_zone(ctx, proj, interior, ahead)
-        )
-        first += proj.multiplicity
+    if "thin" in zones:
+        thin = np.zeros(owner.size, dtype=bool)
+        for k in np.flatnonzero(~inner):
+            thin[k] = projs[owner[k]].distance < ctx.boundary_radius(points[k], labels[k])
+        took |= by_row(thin)
+    if "unrealizable" in zones:
+        asked = np.flatnonzero(inner & ~took[owner])
+        unrealizable = np.zeros(owner.size, dtype=bool)
+        unrealizable[asked] = ~ctx.realizable_many(points[asked], [labels[k] for k in asked])
+        took |= by_row(unrealizable)
     hit[rows] = took
     return inside, hit
 

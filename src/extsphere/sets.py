@@ -1405,18 +1405,17 @@ class ClosedSetDesc:
         subs = [ClosedSetDesc(child, box=self.box, name="component") for child in kids]
         samples = [sub.sample_boundary(64, seed=int(rng.integers(2**31))) for sub in subs]
         for i in range(len(kids)):
+            P = np.reshape([p for p, _ in samples[i]], (-1, self.dim))
             for j, sub_j in enumerate(subs):
                 if i == j:
                     continue
-                for p, _ in samples[i]:
-                    P = p[None, :]
-                    d_j = float(sub_j.distance_many(P)[0])
-                    if d_j <= tol and not bool(sub_j.interior_many(P)[0]):
-                        raise SetError(
-                            "touching labeled components detected near "
-                            f"{p.tolist()} (labels {kids[i].leaves[0].label!r}/"
-                            f"{kids[j].leaves[0].label!r}); such scenes are rejected"
-                        )
+                touching = (sub_j.distance_many(P) <= tol) & ~sub_j.interior_many(P)
+                if touching.any():
+                    raise SetError(
+                        "touching labeled components detected near "
+                        f"{P[np.argmax(touching)].tolist()} (labels {kids[i].leaves[0].label!r}/"
+                        f"{kids[j].leaves[0].label!r}); such scenes are rejected"
+                    )
 
 
 def _sphere_local_points(center, radius, a, scale) -> np.ndarray | None:

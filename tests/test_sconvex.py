@@ -179,6 +179,60 @@ class TestRealizableBoundaryPoints:
             is_realizable_boundary_point(lp_ctx, (0, 0))
 
 
+class TestRealizableMemo:
+    """``EnvelopeContext.realizable_many`` memoises per point rounded to 9
+    digits and samples the cones of all new keys in one call."""
+
+    @pytest.fixture
+    def cone_rows(self, monkeypatch):
+        # The rows of each cone call made from the envelope module.
+        calls = []
+        original = sconvex.sample_unit_normals_many
+
+        def counting(desc, A, **kwargs):
+            calls.append(np.array(A))
+            return original(desc, A, **kwargs)
+
+        monkeypatch.setattr(sconvex, "sample_unit_normals_many", counting)
+        return calls
+
+    def test_one_cone_call_for_new_keys_none_on_a_repeat(self, lineplane, cone_rows):
+        ctx = EnvelopeContext(lineplane.desc, lineplane.rf, rho_max=100.0)
+        A = np.array([(0.0, 4.0), (1.0, 4.0), (-2.5, 4.0)])
+        # Best realization 2 misses the boundary radius 3 on the plane.
+        assert ctx.realizable_many(A, ["plane"] * 3).tolist() == [False] * 3
+        assert [rows.shape[0] for rows in cone_rows] == [3]
+        assert ctx.realizable_many(A[::-1], [None] * 3).tolist() == [False] * 3
+        assert ctx.realizable_boundary_point(A[1]) is False
+        assert len(cone_rows) == 1
+
+    def test_first_row_of_a_key_decides(self, strip, cone_rows):
+        ctx = EnvelopeContext(strip.desc, strip.rf, rho_max=100.0)
+        a = np.array([0.5, 2.0])
+        A = np.array([a + (1e-12, 0.0), a, a - (1e-12, 0.0)])
+        assert ctx.realizable_many(A, [None] * 3).tolist() == [True] * 3
+        assert len(cone_rows) == 1
+        assert np.array_equal(cone_rows[0], A[:1])
+
+    def test_zones_reject_a_projection_point_off_the_boundary(self, lp_ctx, monkeypatch):
+        # Every projection point of the open rows is checked, also after a
+        # row that the thin zone already takes.
+        from extsphere.geom import GeometryError
+
+        original = ClosedSetDesc.boundary_of_interior_many
+
+        def last_point_off(desc, Q):
+            on, inner = original(desc, Q)
+            on[-1] = False
+            return on, inner
+
+        P = np.array([(0.0, 0.5), (0.0, 3.0)])
+        assert sconvex.near_thin_boundary_many(lp_ctx, P).tolist() == [True, False]
+        monkeypatch.setattr(ClosedSetDesc, "boundary_of_interior_many", last_point_off)
+        with pytest.raises(GeometryError, match="not on the set boundary"):
+            sconvex.near_thin_boundary_many(lp_ctx, P)
+
+
 class TestReachZoneSegmentUnion:
     def test_open_normal_segments_inside_reach_zone(self, strip, strip_ctx):
         # Cross-check against the segment-union characterization: points
