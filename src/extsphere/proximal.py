@@ -291,23 +291,22 @@ def is_proximal_normal(
     # The inequality only bites at quadratic scale near the base point, so
     # probe geometrically shrinking neighborhoods: parametric boundary
     # neighbors from the leaves owning a (exact even on thin components) plus
-    # rejection draws for full-dimensional parts.
+    # rejection draws for full-dimensional parts.  One membership call
+    # keeps the set points of all draws: every chunk has two rows or more,
+    # and membership gives the same bits on any batch of two rows or more.
     local = []
     owners = owning_leaves(desc.leaves, a, desc.cluster_tol)
     for k in range(2, 46):
         scale = desc.diameter * 2.0**-k
         for leaf in owners:
             nearby = leaf.local_boundary_points(a, scale)
-            if nearby is not None and len(nearby):
-                keep = desc.contains_many(nearby)
-                local.extend(nearby[keep])
+            if nearby is not None:
+                local.append(nearby)
         if k <= 40:
             raw = rng.normal(size=(8, desc.dim))
-            cand = a + scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
-            keep = desc.contains_many(cand)
-            local.extend(cand[keep])
-    if local:
-        pools.append(np.asarray(local))
+            local.append(a + scale * raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    local = np.concatenate(local, axis=0)
+    pools.append(local[desc.contains_many(local)])
     pts = np.concatenate(pools, axis=0)
     w = pts - a
     lhs = w @ zeta
@@ -447,10 +446,12 @@ def sample_unit_normals(
 
 
 # Rows of one grid-sweep or realization-bisection batch.  A batch takes
-# whole base points, so it holds at least the rows of one point (every row
-# query gives the same bits on any batch of two rows or more), and stays
+# whole base points, so it holds at least the rows of one point, and stays
 # within this many rows unless one point alone exceeds it, which bounds the
-# memory a batch takes.
+# memory a batch takes.  Leaf distances give every row its one-row bits at
+# any row count; half-space and slab membership, which an intersection's
+# distance reads, gives the same bits on any batch of two rows or more, and
+# a point's direction grid alone has more.
 BATCH_ROWS = 16384
 
 

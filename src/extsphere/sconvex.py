@@ -461,12 +461,12 @@ def _bisect_equidistant(desc, leaf_i, leaf_j, P_i, P_j):
     where the distances to the two leaves agree, or None where the ends do
     not bracket a sign change of the distance gap or the point found is not
     a nearest point of the set to both leaves.  The rows are bisected in
-    lockstep, 80 halvings each, two leaf distance calls per halving; the
-    leaf distances carry one-row bits (``distance_rows``), so the point a
-    row finds does not depend on the other rows."""
+    lockstep, 80 halvings each, two leaf distance calls per halving; a
+    leaf's ``distance_many`` gives every row the bits of a one-row call, so
+    the point a row finds does not depend on the other rows."""
 
     def gap(P):
-        return leaf_i.distance_rows(P) - leaf_j.distance_rows(P)
+        return leaf_i.distance_many(P) - leaf_j.distance_many(P)
 
     out = [None] * P_i.shape[0]
     g0, g1 = gap(P_i), gap(P_j)
@@ -478,7 +478,7 @@ def _bisect_equidistant(desc, leaf_i, leaf_j, P_i, P_j):
         lambda t: gap(A + t[:, None] * D) <= 0.0, np.zeros(rows.size), np.ones(rows.size), steps=80,
     )
     S = A + (0.5 * (lo + hi))[:, None] * D
-    d_i, d_j = leaf_i.distance_rows(S), leaf_j.distance_rows(S)
+    d_i, d_j = leaf_i.distance_many(S), leaf_j.distance_many(S)
     tol = desc.cluster_tol
     found = ~(np.abs(d_i - d_j) > tol) & ~(d_i > desc.distance_many(S) + tol)
     for r, s_pt, ok in zip(rows, S, found):

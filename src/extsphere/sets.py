@@ -82,12 +82,6 @@ class Primitive:
     def boundary_distance_many(self, P: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def distance_rows(self, P: np.ndarray) -> np.ndarray:
-        """``distance_many`` with, in every row, the bits of a one-row call,
-        whatever the row count (they differ only on ``HalfSpace`` and
-        ``Slab``)."""
-        return self.distance_many(P)
-
     def project_many(self, X: np.ndarray) -> np.ndarray:
         """One closest point per row (unique for convex leaves).  Dots and
         norms are taken per row (``np.vecdot``), so a row's point does not
@@ -178,11 +172,9 @@ class HalfSpace(Primitive):
         return self._gap(P) < -tol
 
     def distance_many(self, P, tol=0.0):
-        return np.maximum(0.0, self._gap(P))
-
-    def distance_rows(self, P):
-        # A one-row ``P @ n`` is the dot chain ``np.vecdot`` gives every
-        # row; BLAS gemv sums two rows or more in another order.
+        # Per row (``np.vecdot``): a one-row ``P @ n`` is the dot chain
+        # ``np.vecdot`` gives every row, while BLAS gemv (``_gap``) sums
+        # two rows or more in another order.
         return np.maximum(0.0, np.vecdot(P, self.normal) - self.offset)
 
     def boundary_distance_many(self, P):
@@ -222,20 +214,8 @@ class HalfSpace(Primitive):
 
     def local_boundary_points(self, a, scale):
         n = self.normal
-        dim = self.dim
-        basis = []
-        for k in range(dim):
-            e = np.zeros(dim)
-            e[k] = 1.0
-            t = e - float(e @ n) * n
-            if norm(t) > 1e-9:
-                basis.append(t / norm(t))
         foot = a - (float(a @ n) - self.offset) * n
-        out = []
-        for t in basis:
-            out.append(foot + scale * t)
-            out.append(foot - scale * t)
-        return np.asarray(out)
+        return np.asarray([q for t in _tangents(n) for q in (foot + scale * t, foot - scale * t)])
 
     def interior_offset(self, a, step):
         return a - 0.5 * step * self.normal
@@ -243,16 +223,27 @@ class HalfSpace(Primitive):
     def regularized(self, box=None, tol=0.0):
         return self
 
-    def finite_extent(self):
-        return None
+
+def _tangents(u) -> list[np.ndarray]:
+    """Unit tangents at the unit vector u: each axis vector with its
+    component along u removed, where that leaves a nonzero vector."""
+    out = []
+    for e in np.eye(u.shape[0]):
+        t = e - float(e @ u) * u
+        if norm(t) > 1e-9:
+            out.append(t / norm(t))
+    return out
 
 
 @dataclass(eq=False)
-class ClosedBall(Primitive):
+class _Sphere(Primitive):
+    """What a closed ball and the closure of its complement share: the
+    sphere ``{x : ||x - center|| = radius}`` is the boundary of both."""
+
     center: np.ndarray
     radius: float
-    label: str = "ball"
-    convex: bool = True
+    label: str
+    convex: bool
 
     def __post_init__(self):
         self.center = as_vec(self.center)
@@ -264,6 +255,39 @@ class ClosedBall(Primitive):
     def _r(self, P):
         return np.linalg.norm(P - self.center, axis=1)
 
+    def boundary_distance_many(self, P):
+        return np.abs(self._r(P) - self.radius)
+
+    def boundary_points(self, count, rng, box):
+        if self.dim == 2:
+            theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
+            dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        else:
+            raw = rng.normal(size=(count, 3))
+            dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        return self.center + self.radius * dirs
+
+    def local_boundary_points(self, a, scale):
+        w = a - self.center
+        r = norm(w)
+        if r == 0.0:
+            return None
+        radial = w / r
+        angle = min(math.pi / 2.0, scale / self.radius)
+        return np.asarray([
+            self.center + self.radius * (math.cos(s) * radial + math.sin(s) * t)
+            for t in _tangents(radial) for s in (angle, -angle)
+        ])
+
+    def regularized(self, box=None, tol=0.0):
+        return self
+
+
+@dataclass(eq=False)
+class ClosedBall(_Sphere):
+    label: str = "ball"
+    convex: bool = True
+
     def contains_many(self, P, tol):
         return self._r(P) <= self.radius + tol
 
@@ -272,9 +296,6 @@ class ClosedBall(Primitive):
 
     def distance_many(self, P, tol=0.0):
         return np.maximum(0.0, self._r(P) - self.radius)
-
-    def boundary_distance_many(self, P):
-        return np.abs(self._r(P) - self.radius)
 
     def project_many(self, X):
         W = X - self.center
@@ -290,24 +311,12 @@ class ClosedBall(Primitive):
         c = float(w @ w) - self.radius**2
         return IntervalSet(_clip_quadratic_leq(half_b, c, snap))
 
-    def boundary_points(self, count, rng, box):
-        if self.dim == 2:
-            theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
-            dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        else:
-            raw = rng.normal(size=(count, 3))
-            dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        return self.center + self.radius * dirs
-
     def normal_directions(self, a):
         w = a - self.center
         r = norm(w)
         if r == 0.0:
             return []
         return [w / r]
-
-    def local_boundary_points(self, a, scale):
-        return _sphere_local_points(self.center, self.radius, a, scale)
 
     def interior_offset(self, a, step):
         w = self.center - a
@@ -316,31 +325,16 @@ class ClosedBall(Primitive):
             return None
         return a + min(0.5 * step, 0.5 * self.radius) * (w / r)
 
-    def regularized(self, box=None, tol=0.0):
-        return self
-
     def finite_extent(self):
         return (self.center - self.radius, self.center + self.radius)
 
 
 @dataclass(eq=False)
-class BallComplement(Primitive):
+class BallComplement(_Sphere):
     """Closure of the complement of a ball: {x : ||x - center|| >= radius}."""
 
-    center: np.ndarray
-    radius: float
     label: str = "ballcomplement"
     convex: bool = False
-
-    def __post_init__(self):
-        self.center = as_vec(self.center)
-        self.radius = float(self.radius)
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise SetError("ball radius must be positive and finite")
-        self.dim = self.center.shape[0]
-
-    def _r(self, P):
-        return np.linalg.norm(P - self.center, axis=1)
 
     def contains_many(self, P, tol):
         return self._r(P) >= self.radius - tol
@@ -350,9 +344,6 @@ class BallComplement(Primitive):
 
     def distance_many(self, P, tol=0.0):
         return np.maximum(0.0, self.radius - self._r(P))
-
-    def boundary_distance_many(self, P):
-        return np.abs(self._r(P) - self.radius)
 
     def project_many(self, X):
         W = X - self.center
@@ -387,9 +378,6 @@ class BallComplement(Primitive):
         spans.append((hi, INF))
         return IntervalSet(spans)
 
-    def boundary_points(self, count, rng, box):
-        return ClosedBall(self.center, self.radius).boundary_points(count, rng, box)
-
     def normal_directions(self, a):
         w = self.center - a
         r = norm(w)
@@ -397,21 +385,12 @@ class BallComplement(Primitive):
             return []
         return [w / r]
 
-    def local_boundary_points(self, a, scale):
-        return _sphere_local_points(self.center, self.radius, a, scale)
-
     def interior_offset(self, a, step):
         w = a - self.center
         r = norm(w)
         if r == 0.0:
             return None
         return a + 0.5 * step * (w / r)
-
-    def regularized(self, box=None, tol=0.0):
-        return self
-
-    def finite_extent(self):
-        return None
 
 
 @dataclass(eq=False)
@@ -452,13 +431,8 @@ class Slab(Primitive):
         return (g > self.lo + tol) & (g < self.hi - tol)
 
     def distance_many(self, P, tol=0.0):
-        return self._distance(self._g(P))
-
-    def distance_rows(self, P):
-        # See ``HalfSpace.distance_rows``.
-        return self._distance(np.vecdot(P, self.normal))
-
-    def _distance(self, g):
+        # Per row, as ``HalfSpace.distance_many``.
+        g = np.vecdot(P, self.normal)
         return np.maximum(0.0, np.maximum(g - self.hi, self.lo - g))
 
     def boundary_distance_many(self, P):
@@ -506,9 +480,6 @@ class Slab(Primitive):
     def regularized(self, box=None, tol=0.0):
         return self if self.hi > self.lo else None
 
-    def finite_extent(self):
-        return None
-
 
 # Directions on the unit normal circle of a line in space.
 LINE_NORMAL_SAMPLES = 80
@@ -516,7 +487,8 @@ LINE_NORMAL_SAMPLES = 80
 
 @dataclass(eq=False)
 class AffineSubspace(Primitive):
-    """point + span(basis); lines and planes (and single points via empty basis)."""
+    """point + span(basis): a line or a plane (a single point is a
+    ``FinitePointSet``)."""
 
     point: np.ndarray
     basis: np.ndarray  # shape (k, n), rows spanning the subspace
@@ -527,14 +499,14 @@ class AffineSubspace(Primitive):
         self.point = as_vec(self.point)
         self.dim = self.point.shape[0]
         B = np.asarray(self.basis, dtype=float)
-        if B.size == 0:
-            B = B.reshape(0, self.dim)
         if B.ndim != 2 or B.shape[1] != self.dim:
             raise SetError(f"affine basis must be (k, {self.dim}), got {B.shape}")
         # Orthonormalize; drop dependent rows.
-        q, r = np.linalg.qr(B.T) if B.shape[0] else (np.zeros((self.dim, 0)), np.zeros((0, 0)))
+        q, r = np.linalg.qr(B.T)
         keep = [i for i in range(r.shape[0]) if abs(r[i, i]) > 1e-12]
         self.basis = q[:, keep].T
+        if self.basis.shape[0] == 0:
+            raise SetError("affine subspace needs a nonzero direction (a point is point(...))")
         if self.basis.shape[0] >= self.dim:
             raise SetError("affine subspace must have dimension < ambient dimension")
 
@@ -550,7 +522,7 @@ class AffineSubspace(Primitive):
         if self.subspace_dim == 1:
             row = self.basis[0]
             W = W - np.vecdot(W, row)[:, None] * row
-        elif self.subspace_dim:
+        else:
             coef = np.vecdot(W[:, None, :], self.basis)
             W = W - np.matmul(coef[:, None, :], self.basis)[:, 0]
         return W
@@ -586,8 +558,6 @@ class AffineSubspace(Primitive):
 
     def boundary_points(self, count, rng, box):
         lo, hi = box
-        if self.subspace_dim == 0:
-            return np.repeat(self.point[None, :], count, axis=0)
         span = norm(hi - lo)
         out = []
         tries = 0
@@ -602,17 +572,9 @@ class AffineSubspace(Primitive):
         return np.asarray(out)
 
     def local_boundary_points(self, a, scale):
-        if self.subspace_dim == 0:
-            return None
-        out = []
-        for row in self.basis:
-            out.append(a + scale * row)
-            out.append(a - scale * row)
-        return np.asarray(out)
+        return np.asarray([q for row in self.basis for q in (a + scale * row, a - scale * row)])
 
     def normal_directions(self, a):
-        if self.subspace_dim == 0:
-            return []  # a point: every grid direction is a normal
         nrm = np.eye(self.dim) - self.basis.T @ self.basis
         u = next(nrm[:, c] / norm(nrm[:, c]) for c in range(self.dim) if norm(nrm[:, c]) > 1e-9)
         if self.dim - self.subspace_dim == 1:
@@ -624,11 +586,6 @@ class AffineSubspace(Primitive):
         v = np.cross(self.basis[0], u)
         t = 2.0 * math.pi * np.arange(LINE_NORMAL_SAMPLES) / LINE_NORMAL_SAMPLES
         return list(np.outer(np.cos(t), u) + np.outer(np.sin(t), v))
-
-    def finite_extent(self):
-        if self.subspace_dim == 0:
-            return (self.point.copy(), self.point.copy())
-        return None
 
 
 @dataclass(eq=False)
@@ -1055,7 +1012,7 @@ class GridOracle:
     def _thin_cloud(self, leaf, lo, hi):
         if isinstance(leaf, FinitePointSet):
             return leaf.points.copy()
-        if isinstance(leaf, AffineSubspace) and leaf.subspace_dim >= 1:
+        if isinstance(leaf, AffineSubspace):
             span = norm(hi - lo)
             steps = np.arange(-span, span + 0.5 * self.h, self.h)
             if leaf.subspace_dim == 1:
@@ -1266,7 +1223,7 @@ class ClosedSetDesc:
     def boundary_labels_at(self, p, tol: float | None = None) -> tuple[str, ...]:
         """Labels of leaves whose boundary passes within tol of p."""
         tol = self.cluster_tol if tol is None else tol
-        return boundary_labels_of_leaves(self.leaves, p, tol)
+        return boundary_labels_many(self.leaves, np.asarray(p, dtype=float)[None, :], tol)[0]
 
     def on_boundary(self, p) -> bool:
         return self.contains(p) and not self.interior_contains(p)
@@ -1418,28 +1375,6 @@ class ClosedSetDesc:
                     )
 
 
-def _sphere_local_points(center, radius, a, scale) -> np.ndarray | None:
-    w = a - center
-    r = norm(w)
-    if r == 0.0:
-        return None
-    radial = w / r
-    angle = min(math.pi / 2.0, scale / radius)
-    dim = center.shape[0]
-    tangents = []
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        t = e - float(e @ radial) * radial
-        if norm(t) > 1e-9:
-            tangents.append(t / norm(t))
-    out = []
-    for t in tangents:
-        for s in (angle, -angle):
-            out.append(center + radius * (math.cos(s) * radial + math.sin(s) * t))
-    return np.asarray(out)
-
-
 def _owners(leaves, P, tol) -> list[np.ndarray]:
     """One (m,) mask per leaf: the leaf contains the row and its boundary
     passes within tol of it."""
@@ -1457,7 +1392,3 @@ def boundary_labels_many(leaves, P, tol) -> list[tuple[str, ...]]:
     """Sorted labels of the owning leaves of each row of P."""
     owns = np.stack(_owners(leaves, P, tol), axis=1).tolist()
     return [tuple(sorted(leaf.label for leaf, owner in zip(leaves, row) if owner)) for row in owns]
-
-
-def boundary_labels_of_leaves(leaves, p, tol) -> tuple[str, ...]:
-    return boundary_labels_many(leaves, np.asarray(p, dtype=float)[None, :], tol)[0]

@@ -133,7 +133,7 @@ def _render_leaf(canvas: SvgCanvas, leaf, box_poly):
         poly = _clip_halfplane(box_poly, leaf.normal[:2], leaf.hi)
         poly = _clip_halfplane(poly, (-leaf.normal[0], -leaf.normal[1]), -leaf.lo)
         canvas.path(_poly_path(flip(poly)), SET_STROKE, SET_FILL, opacity=0.55)
-    elif isinstance(leaf, AffineSubspace) and leaf.subspace_dim >= 1:
+    elif isinstance(leaf, AffineSubspace):
         d = leaf.basis[0][:2]
         p = leaf.point[:2]
         span = 4.0 * max(abs(canvas.hi[0] - canvas.lo[0]), abs(canvas.hi[1] - canvas.lo[1]))

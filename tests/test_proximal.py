@@ -53,6 +53,27 @@ class TestProximalNormalInequality:
         with pytest.raises(GeometryError):
             is_proximal_normal(halfplane.desc, (0, -1), (0, 1), sigma=0.0)
 
+    def test_local_draws_take_one_membership_call(self, ballcomplement, monkeypatch):
+        desc = ballcomplement.desc
+        _ = desc.oracle  # built outside the count
+        sizes = []
+        contains_many = ClosedSetDesc.contains_many
+
+        def counted(self, P):
+            sizes.append(len(P))
+            return contains_many(self, P)
+
+        monkeypatch.setattr(ClosedSetDesc, "contains_many", counted)
+        desc.sample_boundary(256, seed=0)
+        sampling = len(sizes)
+        sizes.clear()
+        assert is_proximal_normal(desc, (1, 0), (-1, 0), sigma=0.5, probes=512, seed=0)
+        # on_boundary, the boundary pool, then all local draws at once:
+        # 44 scales of 2 sphere neighbours (one tangent at (1, 0)) plus 39
+        # chunks of 8 random draws.
+        assert len(sizes) == 1 + sampling + 1
+        assert sizes[-1] == 44 * 2 + 39 * 8
+
 
 class TestRealization:
     def test_inscribed_disk(self, ballcomplement):

@@ -92,6 +92,15 @@ class TestParsing:
         with pytest.raises(SceneError):
             parse_scene(bad)
 
+    def test_line_with_zero_direction_rejected(self):
+        # A point is point(...); a line without a direction is not one.
+        line = "top    = line(point=(1, 2), direction=(0, 0))"
+        bad = STRIP_TEXT.replace("top    = halfspace(normal=(0, -1), offset=-2)", line)
+        with pytest.raises(SceneError) as err:
+            parse_scene(bad)
+        assert err.value.line == bad.splitlines().index(line) + 1
+        assert "bad line" in str(err.value) and "empty" not in str(err.value)
+
     def test_probe_outside_bbox_rejected(self):
         bad = STRIP_TEXT.replace("point = (0, 1)", "point = (40, 1)")
         with pytest.raises(SceneError):

@@ -424,6 +424,18 @@ class TestSceneValidation:
         with pytest.raises(SetError):
             touching.validate()
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known gap: the touching check is sampled, and none of its 64 "
+        "boundary samples per component lands near a single touching point"
+    ))
+    @pytest.mark.parametrize("centers", [((-1, 0), (1, 0)), ((0, 0, 0), (2, 0, 0))])
+    def test_balls_touching_at_one_point_rejected(self, centers):
+        touching = ClosedSetDesc(
+            Union([ClosedBall(c, 1.0, label=f"ball{k}") for k, c in enumerate(centers)])
+        )
+        with pytest.raises(SetError):
+            touching.validate()
+
     def test_disjoint_components_pass(self, strip):
         strip.desc.validate()
 
@@ -510,11 +522,17 @@ class TestSlabAndAffine:
         proj = line.project((1, 1, 0))
         assert np.allclose(proj.points[0], [1, 0, 0])
 
+    @pytest.mark.parametrize("basis", [[], [(0, 0)]])
+    def test_a_point_is_not_an_affine_subspace(self, basis):
+        with pytest.raises(SetError):
+            AffineSubspace((1, 2), basis)
+
 
 class TestDistanceRows:
-    """``distance_rows`` gives every row the bits of a one-row
-    ``distance_many`` call at any row count; gemv rounds a lone row apart
-    from a batch only for normals off the axes, so those are the cases."""
+    """Every row of ``distance_many`` carries the bits of a one-row call at
+    any row count, on every leaf type and both CSG nodes; gemv would round
+    a lone row apart from a batch only for normals off the axes, so those
+    are the cases."""
 
     @pytest.mark.parametrize("leaf", [
         HalfSpace((0.6, -0.8), 0.3),
@@ -524,9 +542,11 @@ class TestDistanceRows:
         BallComplement((0.1, 0.4, -0.3), 0.9),
         AffineSubspace((0.2, 0.1, -0.3), [(0.6, 0.8, 0.0)]),
         FinitePointSet(((0.5, 0.5), (-1.0, 0.2))),
+        Union([HalfSpace((0.6, -0.8), 0.3, label="h"), ClosedBall((0.3, -0.2), 1.1, label="b")]),
+        Intersection([HalfSpace((1, 1), 0.5, label="h"), ClosedBall((0.2, 0.1), 1.3, label="b")]),
     ])
     def test_rows_equal_one_row_calls(self, leaf):
-        P = np.random.default_rng(5).uniform(-3, 3, size=(1000, leaf.dim))
-        one = np.concatenate([leaf.distance_many(P[i:i + 1]) for i in range(len(P))])
+        P = np.random.default_rng(5).uniform(-3, 3, size=(1000, leaf.leaves[0].dim))
+        one = np.concatenate([leaf.distance_many(P[i:i + 1], 0.0) for i in range(len(P))])
         for m in (1, 2, 7, 1000):
-            assert np.array_equal(leaf.distance_rows(P[:m]), one[:m])
+            assert np.array_equal(leaf.distance_many(P[:m], 0.0), one[:m])
