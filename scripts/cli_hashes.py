@@ -7,7 +7,10 @@ Runs ``extsphere`` from ``<checkout>/src`` in this process on:
   ``cover``, ``sconvex --envelope full``, ``harness`` and ``report``;
 * the ``polytope-check`` benchmark scenes of seeds 7 and 23, built by
   ``<checkout>/perfbench/workloads.build``, each under ``check``, ``cover``
-  (with the workload's probe points where it has them) and ``report``.
+  (with the workload's probe points where it has them) and ``report``;
+* the six seed-7 ``cover`` invocations of the ``witness-cover`` benchmark,
+  built the same way, whose near-boundary probes run the epsilon loop and
+  the boundary crossing.
 
 Each line gives the exit status, a hash of stdout and a hash of the JSON
 report without its ``timings``.  A change that should not move any output
@@ -30,6 +33,7 @@ import tempfile
 BUNDLED = ("strip", "lineplane", "ball", "ballcomplement", "halfplane", "pointset")
 BUNDLED_COMMANDS = (["check"], ["cover"], ["sconvex", "--envelope", "full"], ["harness"], ["report"])
 POLYTOPE_SEEDS = (7, 23)
+WITNESS_SEED = 7
 
 
 def _hash(data: bytes) -> str:
@@ -52,6 +56,12 @@ def _invocations(checkout: str, workdir: str):
         for name in wl.scenes:
             for argv in (["check"], covers.get(name, ["cover"]), ["report"]):
                 yield f"polytope-{seed} {name} {argv[0]}", [argv[0], paths[name], *argv[1:]]
+    wl = workloads.build("witness-cover", WITNESS_SEED, os.path.join(checkout, "scenes"))
+    os.mkdir(os.path.join(workdir, "witness"))
+    paths = wl.write(os.path.join(workdir, "witness"))
+    for inv in wl.invocations:
+        label = f"witness-{WITNESS_SEED} {inv.scene} {inv.command}"
+        yield label, [inv.command, paths[inv.scene], *inv.argv[1:]]
 
 
 def main() -> int:

@@ -236,15 +236,8 @@ def _cmd_report(scene: Scene, args, seed, samples, density, rho_max, deltas) -> 
     )
     condition = harness.condition
     cover_rep = _conditions.verify_union_of_balls(
-        scene.desc,
-        rho_fn=lambda x: _conditions.cover_radius(scene.desc, scene.radius_field, x),
-        witness_fn=lambda x: _cover.construct_witness(
-            scene.desc, scene.radius_field, x, delta_list=deltas,
-            density=density, seed=seed, rho_max=rho_max,
-        ),
-        samples=min(100, scene.samples.probes),
-        delta_list=deltas,
-        seed=seed,
+        scene.desc, scene.radius_field, samples=min(100, scene.samples.probes),
+        delta_list=deltas, density=density, seed=seed, rho_max=rho_max,
     )
     v = harness.verdicts
     lines = [

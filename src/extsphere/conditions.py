@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import INF, ConstructionError, GeometryError, as_tuple, as_vec, norm, normalized
+from .cover import attaining_projection
+from .cover import cover_radius, verify_union_of_balls  # noqa: F401 - re-exported
+from .geom import INF, GeometryError, as_tuple, as_vec, normalized
 from .proximal import (
     RHO_MIN,
     RadiusField,
@@ -33,33 +35,6 @@ from .sets import ClosedSetDesc
 BDRY_INT = "bdry-int"
 NOT_BDRY_INT = "not-bdry-int"
 UNCLASSIFIED = "unclassified"
-
-
-def cover_radius(desc: ClosedSetDesc, radius_field: RadiusField, x) -> float:
-    """Guaranteed witness-ball radius at an exterior point: half the smallest
-    boundary radius among its projections (+inf halves to +inf).
-
-    The minimum is attained because projections are finitely clustered.
-    """
-    x = as_vec(x, dim=desc.dim)
-    if desc.contains(x):
-        raise GeometryError(f"point {x.tolist()} lies in the set; exterior point required")
-    *_, rho = attaining_projection(desc, radius_field, x)
-    return rho
-
-
-def attaining_projection(desc: ClosedSetDesc, radius_field: RadiusField, x):
-    """The projection point attaining the cover radius (lexicographic
-    tie-break), its labels, the projection, and the cover radius."""
-    x = as_vec(x, dim=desc.dim)
-    proj = desc.project(x)
-    scored = []
-    for p, labels in zip(proj.points, proj.labels):
-        v = radius_field.value(p, labels)
-        half = v / 2.0 if math.isfinite(v) else INF
-        scored.append((half, tuple(p), p, labels))
-    half, _, p, labels = min(scored, key=lambda t: (t[0], t[1]))
-    return p, labels, proj, half
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +304,7 @@ def audit_lower_semicontinuity(
     for target, v in ray_list:
         if desc.contains(target):
             continue
-        value = cover_radius(desc, radius_field, target)
+        value = attaining_projection(radius_field, desc.project(target))[-1]
         clearance = desc.distance(target)
         s0 = max(min(0.2 * desc.diameter, 0.9 * clearance), 1e-9)
         tail: list[float] = []
@@ -342,7 +317,7 @@ def audit_lower_semicontinuity(
             p = target + s * v
             if desc.contains(p):
                 continue
-            tail.append(cover_radius(desc, radius_field, p))
+            tail.append(attaining_projection(radius_field, desc.project(p))[-1])
         if len(tail) < 4:
             continue
         # The estimator bias is proportional to the approach scale, so only
@@ -360,90 +335,3 @@ def audit_lower_semicontinuity(
             LscRecord(as_tuple(target), as_tuple(v), value, liminf, lsc_ok, jump and lsc_ok)
         )
     return LscReport("holds" if ok_all else "fails", records, tol, seed)
-
-
-# ---------------------------------------------------------------------------
-# Union-of-balls verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CoverViolation:
-    point: tuple
-    kind: str
-    detail: str
-
-
-@dataclass
-class CoverReport:
-    verdict: str
-    checked: int
-    violations: list
-    tol: float
-    seed: int
-    delta_list: tuple
-
-
-def verify_union_of_balls(
-    desc: ClosedSetDesc,
-    rho_fn,
-    witness_fn,
-    samples: int = 200,
-    delta_list=(1.0, 10.0, 100.0),
-    seed: int = 0,
-) -> CoverReport:
-    """Check the union-of-closed-balls property of the complement by sampling.
-
-    Finite cover radius: the witness ball must contain the sample and keep
-    its full radius away from the set.  Infinite cover radius: the witness
-    direction must admit the tangent family of closed delta-balls for every
-    requested delta.  Both tests allow the scene's ball tolerance.
-    """
-    tol = desc.ball_tol
-    pts = desc.sample_exterior(samples, seed=seed)
-    violations: list[CoverViolation] = []
-    for x in pts:
-        try:
-            rho = rho_fn(x)
-        except (GeometryError, ConstructionError) as exc:
-            violations.append(CoverViolation(as_tuple(x), "radius-error", str(exc)))
-            continue
-        try:
-            witness = witness_fn(x)
-        except (GeometryError, ConstructionError) as exc:
-            violations.append(CoverViolation(as_tuple(x), "witness-error", str(exc)))
-            continue
-        if getattr(witness, "ok", True) is False:
-            violations.append(
-                CoverViolation(as_tuple(x), "witness-failed", getattr(witness, "note", ""))
-            )
-            continue
-        if math.isfinite(rho):
-            center = np.asarray(witness.ball.center, dtype=float)
-            gap = norm(x - center)
-            clearance = desc.distance(center)
-            if gap > rho + tol:
-                violations.append(
-                    CoverViolation(as_tuple(x), "not-covered", f"|x-y|={gap:.9g} > rho={rho:.9g}")
-                )
-            elif clearance < rho - tol:
-                violations.append(
-                    CoverViolation(
-                        as_tuple(x), "ball-meets-set", f"distance={clearance:.9g} < rho={rho:.9g}"
-                    )
-                )
-        else:
-            u = np.asarray(witness.direction, dtype=float)
-            for delta in delta_list:
-                clearance = desc.distance(x + delta * u)
-                if clearance < delta - tol:
-                    violations.append(
-                        CoverViolation(
-                            as_tuple(x),
-                            "delta-ball-meets-set",
-                            f"delta={delta:.9g} distance={clearance:.9g}",
-                        )
-                    )
-                    break
-    verdict = "holds" if not violations else "fails"
-    return CoverReport(verdict, len(pts), violations, tol, seed, tuple(delta_list))

@@ -19,6 +19,9 @@ The construction follows a case split on the attaining projection a_x:
 Infinite cover radii are never manipulated as infinite balls: the same
 machinery runs against a finite synthetic target of four times the largest
 requested delta, and the emitted direction is validated per delta.
+
+``verify_union_of_balls`` re-checks the witnesses of sampled exterior points
+against the distance oracle, projecting each sample once.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .geom import (
     INF, Ball, ConstructionError, GeometryError, as_tuple, as_vec, bisect, norm, normalized,
     sphere_line_roots,
 )
-from .conditions import attaining_projection
 from .proximal import (
     RadiusField,
     best_normal,
@@ -43,6 +45,36 @@ from .proximal import (
 from .sets import ClosedSetDesc, owning_leaves
 
 EPS_HALVINGS = 60
+
+
+def cover_radius(desc: ClosedSetDesc, radius_field: RadiusField, x) -> float:
+    """Guaranteed witness-ball radius at an exterior point: half the smallest
+    boundary radius among its projections (+inf halves to +inf).
+
+    The minimum is attained because projections are finitely clustered.
+    """
+    x = as_vec(x, dim=desc.dim)
+    if desc.contains(x):
+        raise GeometryError(f"point {x.tolist()} lies in the set; exterior point required")
+    return attaining_projection(radius_field, desc.project(x))[-1]
+
+
+def attaining_projection(radius_field: RadiusField, proj):
+    """The point of the projection proj attaining the cover radius
+    (lexicographic tie-break), its labels, proj itself, and the cover radius."""
+    scored = []
+    for p, labels in zip(proj.points, proj.labels):
+        v = radius_field.value(p, labels)
+        half = v / 2.0 if math.isfinite(v) else INF
+        scored.append((half, tuple(p), p, labels))
+    half, _, p, labels = min(scored, key=lambda t: (t[0], t[1]))
+    return p, labels, proj, half
+
+
+def _deltas(desc: ClosedSetDesc, delta_list) -> tuple:
+    """The deltas an infinite witness is built and re-checked at; an empty
+    list stands for the scene diameter."""
+    return tuple(delta_list) if len(delta_list) else (desc.diameter,)
 
 
 class CrossingOutsideError(ConstructionError):
@@ -290,9 +322,15 @@ def construct_witness(
     x = as_vec(x, dim=desc.dim)
     if desc.contains(x):
         raise GeometryError(f"{x.tolist()} lies in the set; witnesses cover the complement")
+    attained = attaining_projection(radius_field, desc.project(x))
+    return _witness(desc, radius_field, x, attained, delta_list, density, seed, rho_max)
+
+
+def _witness(desc, radius_field, x, attained, delta_list, density, seed, rho_max) -> WitnessBall:
+    """The witness for the exterior point x, given its attaining projection."""
     density = default_density(desc.dim) if density is None else density
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
-    a_x, labels, proj, rho = attaining_projection(desc, radius_field, x)
+    a_x, labels, proj, rho = attained
     rho_x = proj.distance
     zeta = normalized(x - a_x)
     tol = desc.realize_tol
@@ -322,7 +360,7 @@ def construct_witness(
         )
 
     # Infinite cover radius.
-    deltas = tuple(delta_list) if len(delta_list) else (desc.diameter,)
+    deltas = _deltas(desc, delta_list)
     if not desc.in_boundary_of_interior(a_x):
         return _delta_validated(desc, x, zeta, deltas, "C2.1", inter, tol)
     target = 4.0 * max(deltas)
@@ -345,3 +383,78 @@ def construct_witness(
         desc, x, u, deltas, "C2-finite-delta", inter, tol,
         extra_note=f"via synthetic target {target:.6g}",
     )
+
+
+@dataclass
+class CoverViolation:
+    point: tuple
+    kind: str
+    detail: str
+
+
+@dataclass
+class CoverReport:
+    verdict: str
+    checked: int
+    violations: list
+    tol: float
+    seed: int
+    delta_list: tuple
+
+
+def verify_union_of_balls(
+    desc: ClosedSetDesc,
+    radius_field: RadiusField,
+    samples: int = 200,
+    delta_list=(1.0, 10.0, 100.0),
+    density: int | None = None,
+    seed: int = 0,
+    rho_max: float | None = None,
+) -> CoverReport:
+    """Check the union-of-closed-balls property of the complement by sampling.
+
+    Each sample is projected once; its cover radius and its witness come
+    from that projection.  Finite cover radius: the witness ball must
+    contain the sample and keep the full cover radius away from the set.
+    Infinite cover radius: the witness direction must admit the tangent
+    family of closed delta-balls for every delta of the list (the scene
+    diameter when it is empty).  Both tests allow the scene's ball tolerance.
+    """
+    tol = desc.ball_tol
+    deltas = _deltas(desc, delta_list)
+    pts = desc.sample_exterior(samples, seed=seed)
+    violations: list[CoverViolation] = []
+    for x, proj in zip(pts, desc.project_many(pts)):
+        point = as_tuple(x)
+        try:
+            attained = attaining_projection(radius_field, proj)
+        except (GeometryError, ConstructionError) as exc:
+            violations.append(CoverViolation(point, "radius-error", str(exc)))
+            continue
+        try:
+            witness = _witness(desc, radius_field, x, attained, deltas, density, seed, rho_max)
+        except (GeometryError, ConstructionError) as exc:
+            violations.append(CoverViolation(point, "witness-error", str(exc)))
+            continue
+        rho = attained[-1]
+        if not witness.ok:
+            violations.append(CoverViolation(point, "witness-failed", witness.note))
+        elif math.isfinite(rho):
+            center = np.asarray(witness.ball.center, dtype=float)
+            gap, clearance = norm(x - center), desc.distance(center)
+            if gap > rho + tol:
+                detail = f"|x-y|={gap:.9g} > rho={rho:.9g}"
+                violations.append(CoverViolation(point, "not-covered", detail))
+            elif clearance < rho - tol:
+                detail = f"distance={clearance:.9g} < rho={rho:.9g}"
+                violations.append(CoverViolation(point, "ball-meets-set", detail))
+        else:
+            u = np.asarray(witness.direction, dtype=float)
+            for delta in deltas:
+                clearance = desc.distance(x + delta * u)
+                if clearance < delta - tol:
+                    detail = f"delta={delta:.9g} distance={clearance:.9g}"
+                    violations.append(CoverViolation(point, "delta-ball-meets-set", detail))
+                    break
+    verdict = "holds" if not violations else "fails"
+    return CoverReport(verdict, len(pts), violations, tol, seed, deltas)

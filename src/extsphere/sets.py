@@ -501,12 +501,12 @@ class AffineSubspace(Primitive):
         B = np.asarray(self.basis, dtype=float)
         if B.ndim != 2 or B.shape[1] != self.dim:
             raise SetError(f"affine basis must be (k, {self.dim}), got {B.shape}")
-        # Orthonormalize; drop dependent rows.
-        q, r = np.linalg.qr(B.T)
-        keep = [i for i in range(r.shape[0]) if abs(r[i, i]) > 1e-12]
-        self.basis = q[:, keep].T
-        if self.basis.shape[0] == 0:
+        rank = np.linalg.matrix_rank(B, tol=1e-12)
+        if rank == 0:
             raise SetError("affine subspace needs a nonzero direction (a point is point(...))")
+        if rank < B.shape[0]:
+            raise SetError(f"dependent affine basis rows: {rank} of {B.shape[0]} independent")
+        self.basis = np.linalg.qr(B.T)[0].T  # orthonormal rows
         if self.basis.shape[0] >= self.dim:
             raise SetError("affine subspace must have dimension < ambient dimension")
 

@@ -8,9 +8,11 @@ from extsphere.conditions import (
     cover_radius,
     verify_union_of_balls,
 )
-from extsphere.cover import construct_witness
-from extsphere.geom import INF, GeometryError
+from extsphere import cover
+from extsphere.cover import WitnessBall
+from extsphere.geom import INF, Ball, GeometryError
 from extsphere.proximal import RadiusField
+from extsphere.sets import ClosedSetDesc
 
 
 class TestCoverRadius:
@@ -213,79 +215,69 @@ class TestLscAudit:
 
 
 class TestVerifyUnionOfBalls:
-    def _witness_fn(self, fix, **kw):
-        return lambda x: construct_witness(fix.desc, fix.rf, x, **kw)
-
     def test_strip_cover(self, strip):
-        report = verify_union_of_balls(
-            strip.desc,
-            rho_fn=lambda x: cover_radius(strip.desc, strip.rf, x),
-            witness_fn=self._witness_fn(strip),
-            samples=120,
-            seed=5,
-        )
+        report = verify_union_of_balls(strip.desc, strip.rf, samples=120, seed=5)
         assert report.verdict == "holds"
         assert report.checked == 120
 
     def test_point_set_infinite_cover(self, pointset):
         report = verify_union_of_balls(
-            pointset.desc,
-            rho_fn=lambda x: cover_radius(pointset.desc, pointset.rf, x),
-            witness_fn=self._witness_fn(pointset, delta_list=(1.0, 10.0, 100.0)),
-            samples=60,
-            delta_list=(1.0, 10.0, 100.0),
-            seed=5,
+            pointset.desc, pointset.rf, samples=60, delta_list=(1.0, 10.0, 100.0), seed=5,
         )
         assert report.verdict == "holds"
 
     def test_ballcomplement_constant_radius_cover(self, ballcomplement):
         # Boundary radius 1 on the unit circle: the open disk is covered by
         # closed balls of radius 1/2.
-        report = verify_union_of_balls(
-            ballcomplement.desc,
-            rho_fn=lambda x: cover_radius(ballcomplement.desc, ballcomplement.rf, x),
-            witness_fn=self._witness_fn(ballcomplement),
-            samples=120,
-            seed=5,
-        )
+        report = verify_union_of_balls(ballcomplement.desc, ballcomplement.rf, samples=120, seed=5)
         assert report.verdict == "holds"
 
     def test_radius_error_is_reported(self, strip):
-        def bad_radius(x):
-            raise GeometryError("no radius rule here")
-
-        report = verify_union_of_balls(
-            strip.desc, rho_fn=bad_radius, witness_fn=self._witness_fn(strip), samples=3, seed=5,
-        )
+        rf = RadiusField.from_sources({"bottom": "0*x - 1", "top": "0*x - 1"})
+        report = verify_union_of_balls(strip.desc, rf, samples=3, seed=5)
         assert report.verdict == "fails"
         assert [v.kind for v in report.violations] == ["radius-error"] * 3
 
-    def test_programming_error_propagates(self, strip):
-        def broken_radius(x):
-            raise TypeError("broken rho_fn")
+    def test_programming_error_propagates(self, strip, monkeypatch):
+        def broken_value(self, p, labels):
+            raise TypeError("broken radius rule")
 
+        monkeypatch.setattr(RadiusField, "value", broken_value)
         with pytest.raises(TypeError):
-            verify_union_of_balls(
-                strip.desc, rho_fn=broken_radius, witness_fn=self._witness_fn(strip),
-                samples=3, seed=5,
-            )
+            verify_union_of_balls(strip.desc, strip.rf, samples=3, seed=5)
 
-    def test_failing_witness_is_reported(self, strip):
-        class FakeWitness:
-            ok = True
-            ball = type("B", (), {"center": np.array([0.0, 1.0])})()
+    def test_failing_witness_is_reported(self, strip, monkeypatch):
+        def displaced(desc, rf, x, attained, *args):
+            center = np.asarray(x) + np.asarray([0.0, 5.0])
+            return WitnessBall(tuple(x), "C1-direct", ball=Ball(center, attained[-1]))
 
-        def bad_witness(x):
-            w = FakeWitness()
-            w.ball.center = np.asarray(x) + np.asarray([0.0, 5.0])
-            return w
-
-        report = verify_union_of_balls(
-            strip.desc,
-            rho_fn=lambda x: cover_radius(strip.desc, strip.rf, x),
-            witness_fn=bad_witness,
-            samples=20,
-            seed=5,
-        )
+        monkeypatch.setattr(cover, "_witness", displaced)
+        report = verify_union_of_balls(strip.desc, strip.rf, samples=20, seed=5)
         assert report.verdict == "fails"
-        assert report.violations
+        assert {v.kind for v in report.violations} == {"not-covered"}
+
+    def test_projects_each_sample_once(self, strip, monkeypatch):
+        rows = []
+        project_many = ClosedSetDesc.project_many
+
+        def counted(self, P):
+            rows.append(len(P))
+            return project_many(self, P)
+
+        monkeypatch.setattr(ClosedSetDesc, "project_many", counted)
+        report = verify_union_of_balls(strip.desc, strip.rf, samples=20, seed=5)
+        assert report.verdict == "holds"
+        assert rows == [20]
+
+    def test_empty_delta_list_rechecks_the_diameter(self, halfplane, monkeypatch):
+        # A witness direction into the set: the diameter-sized delta-ball
+        # the witness stands for must be re-checked, and it meets the set.
+        def downward(desc, rf, x, attained, *args):
+            return WitnessBall(tuple(x), "C2.1", direction=(0.0, -1.0))
+
+        monkeypatch.setattr(cover, "_witness", downward)
+        report = verify_union_of_balls(
+            halfplane.desc, halfplane.rf, samples=4, delta_list=(), seed=5
+        )
+        assert report.delta_list == (halfplane.desc.diameter,)
+        assert [v.kind for v in report.violations] == ["delta-ball-meets-set"] * 4

@@ -100,6 +100,18 @@ class TestParsing:
             parse_scene(bad)
         assert err.value.line == bad.splitlines().index(line) + 1
         assert "bad line" in str(err.value) and "empty" not in str(err.value)
+        assert "nonzero direction" in str(err.value)
+
+    def test_plane_with_dependent_basis_rejected(self):
+        plane = "slab = plane(point=(0, 0, 0), basis=((1, 0, 0), (2, 0, 0)))"
+        text = (
+            "[scene]\nname = flat\ndim = 3\nbbox = (-3, -3, -3) (3, 3, 3)\n\n"
+            f"[set]\n{plane}\n\n[radius]\nslab = 1\n"
+        )
+        with pytest.raises(SceneError) as err:
+            parse_scene(text)
+        assert err.value.line == text.splitlines().index(plane) + 1
+        assert "bad plane" in str(err.value) and "independent" in str(err.value)
 
     def test_probe_outside_bbox_rejected(self):
         bad = STRIP_TEXT.replace("point = (0, 1)", "point = (40, 1)")

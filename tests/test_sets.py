@@ -527,6 +527,11 @@ class TestSlabAndAffine:
         with pytest.raises(SetError):
             AffineSubspace((1, 2), basis)
 
+    @pytest.mark.parametrize("basis", [[(1, 0, 0), (2, 0, 0)], [(0, 0, 0), (1, 0, 0)]])
+    def test_dependent_basis_rows_rejected(self, basis):
+        with pytest.raises(SetError, match="1 of 2 independent"):
+            AffineSubspace((0, 0, 0), basis)
+
 
 class TestDistanceRows:
     """Every row of ``distance_many`` carries the bits of a one-row call at
