@@ -11,8 +11,9 @@ checks, per scene:
 * on scenes where the condition holds, witness construction never fails,
 * the normal cones of the condition-check samples, sampled in one batch,
   equal their one-row calls bit for bit, and so do the equidistant points
-  that the S-convexity probe bisects in lockstep (half-space normals here
-  are generic, where one-row and batched kernels could round differently),
+  that the S-convexity probe bisects in lockstep and the witnesses of the
+  exterior samples built in one batch (half-space normals here are
+  generic, where one-row and batched kernels could round differently),
 * the three-way harness verdicts agree (the consistency flag).
 
 Exit status 0 when every scene passes; detailed lines otherwise.
@@ -22,6 +23,7 @@ Usage:
 """
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -30,9 +32,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np  # noqa: E402
 
+from extsphere.cli import _jsonable  # noqa: E402
 from extsphere.conditions import check_extended_condition, cover_radius  # noqa: E402
-from extsphere.cover import construct_witness  # noqa: E402
-from extsphere.geom import GeometryError  # noqa: E402
+from extsphere.cover import construct_witness, construct_witness_many  # noqa: E402
+from extsphere.geom import ConstructionError, GeometryError  # noqa: E402
 from extsphere.proximal import (  # noqa: E402
     RadiusField,
     sample_unit_normals,
@@ -109,6 +112,37 @@ def batched_cone_problems(desc, seed: int) -> list[str]:
     return problems
 
 
+def batched_witness_problems(desc, rf, pts, seed: int) -> list[str]:
+    """Witnesses of the exterior samples built in one batch, against the
+    one-row call at each sample, compared as JSON dicts; a batch that
+    raises must raise the error of the first row whose one-row call does."""
+    kwargs = {"delta_list": (0.5, 4.0), "seed": seed, "rho_max": 80.0}
+
+    def dump(w):
+        return json.dumps(_jsonable(w), sort_keys=True)
+
+    def error(exc):
+        return f"{type(exc).__name__}: {exc}"
+
+    one_row, first_error = [], None
+    for x in pts:
+        try:
+            one_row.append(dump(construct_witness(desc, rf, x, **kwargs)))
+        except (GeometryError, ConstructionError) as exc:
+            one_row.append(None)
+            first_error = first_error or error(exc)
+    try:
+        batch = [dump(w) for w in construct_witness_many(desc, rf, pts, **kwargs)]
+    except (GeometryError, ConstructionError) as exc:
+        if error(exc) == first_error:
+            return []
+        return [f"seed {seed}: batched witnesses raise {error(exc)!r}, the one-row calls {first_error!r}"]
+    return [
+        f"seed {seed}: batched witness differs from the one-row witness at {x.tolist()}"
+        for x, w, one in zip(pts, batch, one_row) if w != one
+    ]
+
+
 def lockstep_probe_problems(desc, seed: int) -> list[str]:
     """Equidistant points of the S-convexity probe, bisected in lockstep
     for the sample pairs of each label pair as the probe does, against the
@@ -170,6 +204,7 @@ def run_one(seed: int, with_harness: bool) -> list[str]:
         pts = desc.sample_exterior(60, seed=seed + 1)
     except SetError:
         pts = []
+    problems.extend(batched_witness_problems(desc, rf, pts, seed))
     failures = 0
     for i, x in enumerate(pts):
         w = construct_witness(desc, rf, x, delta_list=(0.5, 4.0), seed=i, rho_max=80.0)

@@ -41,7 +41,14 @@ from .conditions import (
     cover_radius,
     verify_union_of_balls,
 )
-from .cover import WitnessBall, bridging_ball_radius, boundary_crossing, construct_witness, find_interior_point_near
+from .cover import (
+    WitnessBall,
+    boundary_crossing,
+    bridging_ball_radius,
+    construct_witness,
+    construct_witness_many,
+    find_interior_point_near,
+)
 from .sconvex import (
     EnvelopeContext,
     HarnessReport,

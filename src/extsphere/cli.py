@@ -133,15 +133,13 @@ def _cmd_cover(scene: Scene, args, seed, samples, density, rho_max, deltas) -> _
         points.extend(np.asarray(p, dtype=float) for p in _parse_point_list(args.points))
     if not points:
         points = list(scene.desc.sample_exterior(args.random_points, seed=seed))
-    witnesses = []
+    witnesses = _cover.construct_witness_many(
+        scene.desc, scene.radius_field, points, delta_list=deltas,
+        density=density, seed=seed, rho_max=rho_max,
+    )
     failures = 0
     lines = []
-    for x in points:
-        w = _cover.construct_witness(
-            scene.desc, scene.radius_field, x, delta_list=deltas,
-            density=density, seed=seed, rho_max=rho_max,
-        )
-        witnesses.append(w)
+    for w in witnesses:
         if w.ball is not None:
             lines.append(
                 f"cover: x={tuple(round(v, 9) for v in w.x)} case {w.case_tag} "

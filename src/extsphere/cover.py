@@ -20,6 +20,15 @@ Infinite cover radii are never manipulated as infinite balls: the same
 machinery runs against a finite synthetic target of four times the largest
 requested delta, and the emitted direction is validated per delta.
 
+``construct_witness_many`` builds the witnesses of many exterior points at
+once: one projection pass picks every row's case, and the epsilon loop runs
+in rounds over the rows still open, one halving per round, with one
+lockstep crossing bisection, one cone call and one validation call for all
+of them.  Each row keeps its own neighborhood, notes and outcome, and a row
+whose construction raises keeps that error to itself.  A row's witness does
+not depend on the other rows (see ``_ask``), and ``construct_witness`` is
+the one-row call.
+
 ``verify_union_of_balls`` re-checks the witnesses of sampled exterior points
 against the distance oracle, projecting each sample once.
 """
@@ -33,18 +42,21 @@ import numpy as np
 
 from .geom import (
     INF, Ball, ConstructionError, GeometryError, as_tuple, as_vec, bisect, norm, normalized,
-    sphere_line_roots,
+    sphere_line_roots_many,
 )
 from .proximal import (
     RadiusField,
     best_normal,
     default_density,
     default_rho_max,
-    sample_unit_normals,
+    sample_unit_normals_many,
 )
-from .sets import ClosedSetDesc, owning_leaves
+from .sets import ClosedSetDesc, _owners, boundary_labels_many
 
 EPS_HALVINGS = 60
+
+# What a witness row may raise without stopping the other rows.
+_ROW_ERRORS = (GeometryError, ConstructionError)
 
 
 def cover_radius(desc: ClosedSetDesc, radius_field: RadiusField, x) -> float:
@@ -75,6 +87,27 @@ def _deltas(desc: ClosedSetDesc, delta_list) -> tuple:
     """The deltas an infinite witness is built and re-checked at; an empty
     list stands for the scene diameter."""
     return tuple(delta_list) if len(delta_list) else (desc.diameter,)
+
+
+def _ask(query, P):
+    """``query(P)`` for the rows of P, asked with at least two rows.
+
+    Half-space and slab membership, which intersection distances read too,
+    give a row the same bits on any batch of two rows or more, while a lone
+    row may round otherwise; so a witness row gets the same answers in a
+    batch of any size.  The membership whose bits place a crossing (the
+    bisection, the checks at its ends, the exterior check) is asked
+    ``per_row`` instead, with the bits of the one-row calls.  Tuple results
+    are cut per item.
+    """
+    n = len(P)
+    out = query(np.concatenate([P, P]) if n == 1 else P)
+    return tuple(o[:n] for o in out) if isinstance(out, tuple) else out[:n]
+
+
+def _row_norms(V) -> np.ndarray:
+    """Euclidean norm of each row, with the bits of ``norm`` on that row."""
+    return np.sqrt(np.vecdot(V, V))
 
 
 class CrossingOutsideError(ConstructionError):
@@ -128,10 +161,44 @@ def find_interior_point_near(desc: ClosedSetDesc, a, eps: float, seed: int = 0) 
         raise GeometryError("eps must be positive")
     if not desc.in_boundary_of_interior(a):
         raise GeometryError(f"{a.tolist()} is not on the boundary of the interior")
-    for leaf in owning_leaves(desc.leaves, a, desc.cluster_tol):
-        z = leaf.interior_offset(a, eps)
-        if z is not None and norm(z - a) < eps and desc.interior_contains(z):
-            return z
+    z = _interior_points(desc, a[None, :], [eps], seed, [_owning(desc, a[None, :])[0]])[0]
+    if isinstance(z, ConstructionError):
+        raise z
+    return z
+
+
+def _owning(desc: ClosedSetDesc, A) -> list[list]:
+    """The leaves, in order, owning each row of A (``owning_leaves``)."""
+    owns = _ask(lambda P: np.stack(_owners(desc.leaves, P, desc.cluster_tol), axis=1), A)
+    return [[leaf for leaf, own in zip(desc.leaves, row) if own] for row in owns]
+
+
+def _interior_points(desc, A, eps, seed, owners) -> list:
+    """``find_interior_point_near`` at each row of A, within its eps, with
+    the owning leaves of each row given: an interior point per row, or that
+    row's ConstructionError.  The analytic offsets of all rows share one
+    interior check; rejection sampling stays per row, from ``seed``."""
+    cands = [
+        (i, z)
+        for i, (a, e, leaves) in enumerate(zip(A, eps, owners))
+        for z in (leaf.interior_offset(a, e) for leaf in leaves)
+        if z is not None and norm(z - a) < e
+    ]
+    out: list = [None] * len(A)
+    if cands:
+        inside = _ask(desc.interior_many, np.asarray([z for _, z in cands]))
+        for (i, z), ok in zip(cands, inside):
+            if ok and out[i] is None:
+                out[i] = z
+    for i, z in enumerate(out):
+        if z is None:
+            out[i] = _drawn_interior_point(desc, A[i], float(eps[i]), seed)
+    return out
+
+
+def _drawn_interior_point(desc, a, eps, seed):
+    """An interior point among up to 100,000 seeded draws inside the
+    eps-ball at a, or the ConstructionError saying there is none."""
     rng = np.random.default_rng(seed)
     chunk = 512
     for _ in range(100_000 // chunk):
@@ -139,11 +206,10 @@ def find_interior_point_near(desc: ClosedSetDesc, a, eps: float, seed: int = 0) 
         dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         radii = 0.999 * eps * rng.random(chunk) ** (1.0 / desc.dim)
         pts = a + dirs * radii[:, None]
-        hits = desc.interior_many(pts)
-        idx = np.nonzero(hits)[0]
+        idx = np.nonzero(desc.interior_many(pts))[0]
         if idx.size:
             return pts[idx[0]]
-    raise ConstructionError(
+    return ConstructionError(
         f"no interior point found within {eps!r} of {a.tolist()} "
         "(classification wrong or eps too small)"
     )
@@ -165,142 +231,238 @@ def boundary_crossing(desc: ClosedSetDesc, x, z_eps, a_x, eps: float) -> np.ndar
         raise GeometryError("segment end must be an interior point")
     if not norm(z - a_x) < eps:
         raise GeometryError("interior point must lie inside the eps-ball")
-    t_z = norm(z - x)
-    xi = (z - x) / t_z
-    roots = sphere_line_roots(x, xi, a_x, eps)
-    if roots is None:
-        raise CrossingOutsideError("segment line misses the eps-sphere")
-    t1, t2 = roots
-    if t1 <= 0.0:
-        raise CrossingOutsideError("exterior point already inside the eps-sphere")
-    lo = t1 + 1e-12 * (t2 - t1)
-    if desc.contains(x + lo * xi):
-        raise CrossingOutsideError("no exterior stretch inside the eps-sphere")
-    _, hi = bisect(lambda t: not desc.contains(x + t * xi), lo, t_z, width=1e-15 * (1.0 + t_z))
-    a_eps = x + hi * xi
-    if not norm(a_eps - a_x) < eps:
-        raise CrossingOutsideError("crossing escaped the eps-ball")
+    a_eps = _crossings(desc, x[None, :], z[None, :], a_x[None, :], np.array([eps]))[0]
+    if isinstance(a_eps, CrossingOutsideError):
+        raise a_eps
     return a_eps
 
 
-def _validated(desc, x, center, radius, tag, intermediates, tol) -> WitnessBall | None:
-    gap = norm(x - center)
-    clearance = desc.distance(center)
-    if gap <= radius + tol and clearance >= radius - tol:
+def _crossings(desc, X, Z, A, eps) -> list:
+    """``boundary_crossing`` for the rows of X, Z and A with the radii eps,
+    whose segments are known to run from an exterior to an interior point
+    inside the eps-ball: the crossing of each row, or that row's
+    CrossingOutsideError.  All rows are bisected in lockstep, each bracket
+    to its own width."""
+    V = Z - X
+    t_z = _row_norms(V)
+    XI = V / t_z[:, None]
+    t1, t2 = sphere_line_roots_many(X, XI, A, eps)
+    lo = t1 + 1e-12 * (t2 - t1)
+    out: list = [None] * len(X)
+    for i in np.flatnonzero(np.isnan(t1)):
+        out[i] = CrossingOutsideError("segment line misses the eps-sphere")
+    for i in np.flatnonzero(t1 <= 0.0):
+        out[i] = CrossingOutsideError("exterior point already inside the eps-sphere")
+    rows = np.flatnonzero(t1 > 0.0)
+    started = desc.contains_many(X[rows] + lo[rows, None] * XI[rows], per_row=True)
+    for i in rows[started]:
+        out[i] = CrossingOutsideError("no exterior stretch inside the eps-sphere")
+    rows = rows[~started]
+    if rows.size == 0:
+        return out
+    X, XI, t_z = X[rows], XI[rows], t_z[rows]
+    _, hi = bisect(
+        lambda t: ~desc.contains_many(X + t[:, None] * XI, per_row=True), lo[rows], t_z,
+        width=1e-15 * (1.0 + t_z),
+    )
+    A_eps = X + hi[:, None] * XI
+    inside = _row_norms(A_eps - A[rows]) < eps[rows]
+    for i, a_eps, ok in zip(rows, A_eps, inside):
+        out[i] = a_eps if ok else CrossingOutsideError("crossing escaped the eps-ball")
+    return out
+
+
+def _balls_hold(desc, X, C, radii, tol) -> np.ndarray:
+    """Whether each ball (C[i], radii[i]) holds X[i] and keeps its radius
+    off the set, up to tol, from one distance call for all rows."""
+    radii = np.asarray(radii, dtype=float)
+    clearance = _ask(desc.distance_many, C)
+    return (_row_norms(X - C) <= radii + tol) & (clearance >= radii - tol)
+
+
+@dataclass
+class _Loop:
+    """One row's epsilon loop: the exterior point x, its attaining
+    projection a_x at distance rho_x and the leaves owning a_x, the boundary
+    radius budget target at a_x (for a synthetic loop, the stand-in of an
+    infinite one), and the loop's neighborhood radius and last note."""
+
+    row: int
+    x: np.ndarray
+    a_x: np.ndarray
+    rho_x: float
+    target: float
+    synthetic: bool
+    owners: list = field(default_factory=list)
+    eps: float = 0.0
+    note: str = ""
+
+    def failed(self, ending: str) -> WitnessBall:
         return WitnessBall(
-            as_tuple(x), tag, ball=Ball(center, radius), intermediates=intermediates
+            as_tuple(self.x), "failed", ok=False,
+            note=f"epsilon loop {ending}: {self.note}",
+            intermediates={"a_x": as_tuple(self.a_x), "rho_x": self.rho_x},
         )
-    return None
 
 
-def _epsilon_loop(desc, radius_field, x, a_x, rho_x, target, density, rho_max, seed, synthetic):
-    """Shared neighborhood-shrinking loop for the boundary-of-interior cases.
+def _epsilon_loops(desc, radius_field, loops, density, rho_max, seed) -> dict:
+    """Shared neighborhood-shrinking loop for the boundary-of-interior cases,
+    run for many rows at once: the outcome of each loop by its row, a
+    witness or the row's error.
 
-    target is the boundary radius budget at a_x (the synthetic stand-in in
-    the infinite case); the produced ball has radius target/2 and the tag of
-    the subcase which placed it.
+    Each round halves the neighborhood of every open row (the first round
+    starts at half the clearance), finds an interior point within it,
+    crosses the boundary toward x, samples the normal cone at the crossing
+    and places a ball of radius target/2, tagged with the subcase that
+    placed it; a row stays open while a step falls short, keeping the
+    reason as its note.
     """
-    half = target / 2.0
     tol = desc.realize_tol
-    eps = 0.5 * rho_x
-    note = ""
-    ending = f"exhausted after {EPS_HALVINGS} halvings"
+    out: dict = {}
+    for loop in loops:
+        loop.eps = 0.5 * loop.rho_x
+    if loops:
+        for loop, owners in zip(loops, _owning(desc, np.asarray([lp.a_x for lp in loops]))):
+            loop.owners = owners
+    live = list(loops)
     for halving in range(EPS_HALVINGS):
-        if halving:
-            eps *= 0.5
-        try:
-            z_eps = find_interior_point_near(desc, a_x, eps, seed=seed + halving)
-            a_eps = boundary_crossing(desc, x, z_eps, a_x, eps)
-        except CrossingOutsideError as exc:
-            note = str(exc)
-            continue
-        except ConstructionError as exc:
-            # No interior point within eps (it fell below the membership
-            # tolerance); smaller neighborhoods cannot do better.
-            note, ending = str(exc), f"stopped at halving {halving}"
+        if not live:
             break
-        labels = desc.boundary_labels_at(a_eps)
-        if not labels:
-            labels = desc.boundary_labels_at(a_eps, tol=10.0 * desc.cluster_tol)
-        r_scene = radius_field.value(a_eps, labels) if labels else INF
-        r_eff = min(r_scene, target) if synthetic else r_scene
-        toward_x = normalized(x - a_eps)
-        cone = sample_unit_normals(
-            desc, a_eps, density=density, rho_max=rho_max, extra_directions=[toward_x]
-        )
-        pick = best_normal(cone, reference=toward_x)
-        if pick is None:
-            note = "empty sampled cone at the crossing point"
-            continue
-        rho_star = min(float(cone.realizations[pick]), r_eff)
-        if not rho_star > half:
-            note = (
-                f"realized radius {rho_star:.6g} at the crossing did not clear "
-                f"half the target {half:.6g}"
-            )
-            continue
-        y_eps = a_eps + rho_star * cone.directions[pick]
-        separation = norm(y_eps - x)
-        inter = {
-            "a_x": as_tuple(a_x),
-            "rho_x": rho_x,
-            "eps": eps,
-            "z_eps": as_tuple(z_eps),
-            "a_eps": as_tuple(a_eps),
-            "y_eps": as_tuple(y_eps),
-            "rho_star": rho_star,
-        }
-        if separation <= target - rho_star:
-            witness = _validated(desc, x, y_eps, half, "C1.2.1", inter, tol)
-        elif separation < rho_star:
-            if separation <= tol:
-                center = x.copy()
+        if halving:
+            for loop in live:
+                loop.eps *= 0.5
+        eps = np.array([loop.eps for loop in live])
+        A = np.asarray([loop.a_x for loop in live])
+        Z = _interior_points(desc, A, eps, seed + halving, [loop.owners for loop in live])
+        found = []
+        for k, (loop, z) in enumerate(zip(live, Z)):
+            if isinstance(z, ConstructionError):
+                # No interior point within eps (it fell below the membership
+                # tolerance); smaller neighborhoods cannot do better.
+                loop.note = str(z)
+                out[loop.row] = loop.failed(f"stopped at halving {halving}")
             else:
-                center = x + half * (y_eps - x) / separation
-            witness = _validated(desc, x, center, half, "C1.2.2", inter, tol)
-        else:
-            try:
-                rho_eps = bridging_ball_radius(rho_x, separation, rho_star)
-            except ConstructionError as exc:
-                note = str(exc)
-                continue
-            inter["rho_eps"] = rho_eps
-            if not rho_eps > half:
-                # Diagnostic only: the bridging radius clears half the cover
-                # radius exactly when the separation stays below
-                # (clearance^2 + sqrt(quartic)) / cover; report how far off.
-                quartic = rho_x**4 + rho_star**4 - rho_star**2 * rho_x**2
-                bound = (rho_x**2 + math.sqrt(quartic)) / rho_star
-                note = (
-                    f"bridging radius {rho_eps:.6g} below half target {half:.6g} "
-                    f"(separation {separation:.6g} vs bound {bound:.6g}); shrinking"
-                )
-                continue
-            center = x + half * (y_eps - x) / separation
-            witness = _validated(desc, x, center, half, "C1.2.3", inter, tol)
-        if witness is not None:
-            return witness
-        note = "constructed ball failed oracle validation"
-    return WitnessBall(
-        as_tuple(x), "failed", ok=False,
-        note=f"epsilon loop {ending}: {note}",
-        intermediates={"a_x": as_tuple(a_x), "rho_x": rho_x},
-    )
+                found.append(k)
+        X = np.asarray([live[k].x for k in found]).reshape(-1, desc.dim)
+        crossed = _crossings(desc, X, np.asarray([Z[k] for k in found]).reshape(-1, desc.dim),
+                             A[found], eps[found]) if found else []
+        steps = []
+        for k, a_eps in zip(found, crossed):
+            if isinstance(a_eps, CrossingOutsideError):
+                live[k].note = str(a_eps)
+            else:
+                steps.append((live[k], Z[k], a_eps))
+        coned = _crossing_cones(desc, radius_field, steps, density, rho_max, out)
+        placed = []
+        for loop, z_eps, a_eps, r_eff, toward_x, cone in coned:
+            step = _placement(loop, z_eps, a_eps, r_eff, toward_x, cone, tol)
+            if isinstance(step, str):
+                loop.note = step
+            else:
+                placed.append((loop, *step))
+        if placed:
+            C = np.asarray([center for _, center, _, _ in placed])
+            X = np.asarray([loop.x for loop, _, _, _ in placed])
+            holds = _balls_hold(desc, X, C, [lp.target / 2.0 for lp, _, _, _ in placed], tol)
+            for (loop, center, tag, inter), ok in zip(placed, holds):
+                if not ok:
+                    loop.note = "constructed ball failed oracle validation"
+                    continue
+                try:
+                    ball = Ball(center, loop.target / 2.0)
+                except GeometryError as exc:
+                    out[loop.row] = exc
+                    continue
+                out[loop.row] = WitnessBall(as_tuple(loop.x), tag, ball=ball, intermediates=inter)
+        live = [loop for loop in live if loop.row not in out]
+    for loop in live:
+        out[loop.row] = loop.failed(f"exhausted after {EPS_HALVINGS} halvings")
+    return out
 
 
-def _delta_validated(desc, x, u, delta_list, tag, intermediates, tol, extra_note=""):
-    checks = []
-    ok = True
-    for delta in delta_list:
-        clearance = desc.distance(x + delta * u)
-        good = clearance >= delta - tol
-        ok &= good
-        checks.append((float(delta), float(clearance)))
-    return WitnessBall(
-        as_tuple(x), tag, direction=as_tuple(u), intermediates=intermediates,
-        delta_checks=tuple(checks), ok=ok,
-        note=extra_note if ok else "a requested delta-ball met the set",
+def _crossing_cones(desc, radius_field, steps, density, rho_max, out) -> list:
+    """The capped boundary radius at each crossing of ``steps`` (loop,
+    z_eps, a_eps), the direction toward x and the sampled normal cone
+    there, the direction toward x added, from one boundary check and one
+    cone call.  A row whose radius fails, or whose crossing is not on the
+    boundary, puts its error in ``out`` instead."""
+    if not steps:
+        return []
+    A = np.asarray([a_eps for _, _, a_eps in steps])
+    labels = _ask(lambda P: boundary_labels_many(desc.leaves, P, desc.cluster_tol), A)
+    bare = [k for k, lab in enumerate(labels) if not lab]
+    if bare:
+        wide = _ask(lambda P: boundary_labels_many(desc.leaves, P, 10.0 * desc.cluster_tol), A[bare])
+        for k, lab in zip(bare, wide):
+            labels[k] = lab
+    on_boundary = desc.contains_many(A, per_row=True) & ~_ask(desc.interior_many, A)
+    kept = []
+    for (loop, z_eps, a_eps), lab, on in zip(steps, labels, on_boundary):
+        try:
+            r_scene = radius_field.value(a_eps, lab) if lab else INF
+            toward_x = normalized(loop.x - a_eps)
+            if not on:
+                raise GeometryError(f"point {a_eps.tolist()} is not on the set boundary")
+        except _ROW_ERRORS as exc:
+            out[loop.row] = exc
+            continue
+        r_eff = min(r_scene, loop.target) if loop.synthetic else r_scene
+        kept.append((loop, z_eps, a_eps, r_eff, toward_x))
+    if not kept:
+        return []
+    cones = sample_unit_normals_many(
+        desc, np.asarray([step[2] for step in kept]), density=density, rho_max=rho_max,
+        extra_directions=[[step[4]] for step in kept],
     )
+    return [(*step, cone) for step, cone in zip(kept, cones)]
+
+
+def _placement(loop, z_eps, a_eps, r_eff, toward_x, cone, tol):
+    """The ball one crossing places for a loop: its center, subcase tag and
+    intermediates, or the note saying why this neighborhood falls short."""
+    x, target, rho_x = loop.x, loop.target, loop.rho_x
+    half = target / 2.0
+    pick = best_normal(cone, reference=toward_x)
+    if pick is None:
+        return "empty sampled cone at the crossing point"
+    rho_star = min(float(cone.realizations[pick]), r_eff)
+    if not rho_star > half:
+        return (
+            f"realized radius {rho_star:.6g} at the crossing did not clear "
+            f"half the target {half:.6g}"
+        )
+    y_eps = a_eps + rho_star * cone.directions[pick]
+    separation = norm(y_eps - x)
+    inter = {
+        "a_x": as_tuple(loop.a_x),
+        "rho_x": rho_x,
+        "eps": loop.eps,
+        "z_eps": as_tuple(z_eps),
+        "a_eps": as_tuple(a_eps),
+        "y_eps": as_tuple(y_eps),
+        "rho_star": rho_star,
+    }
+    if separation <= target - rho_star:
+        return y_eps, "C1.2.1", inter
+    if separation < rho_star:
+        center = x.copy() if separation <= tol else x + half * (y_eps - x) / separation
+        return center, "C1.2.2", inter
+    try:
+        rho_eps = bridging_ball_radius(rho_x, separation, rho_star)
+    except ConstructionError as exc:
+        return str(exc)
+    inter["rho_eps"] = rho_eps
+    if not rho_eps > half:
+        # Diagnostic only: the bridging radius clears half the cover
+        # radius exactly when the separation stays below
+        # (clearance^2 + sqrt(quartic)) / cover; report how far off.
+        quartic = rho_x**4 + rho_star**4 - rho_star**2 * rho_x**2
+        bound = (rho_x**2 + math.sqrt(quartic)) / rho_star
+        return (
+            f"bridging radius {rho_eps:.6g} below half target {half:.6g} "
+            f"(separation {separation:.6g} vs bound {bound:.6g}); shrinking"
+        )
+    return x + half * (y_eps - x) / separation, "C1.2.3", inter
 
 
 def construct_witness(
@@ -312,77 +474,146 @@ def construct_witness(
     seed: int = 0,
     rho_max: float | None = None,
 ) -> WitnessBall:
-    """Build and validate the witness for one exterior point.
+    """``construct_witness_many`` at one exterior point."""
+    return construct_witness_many(desc, radius_field, [x], delta_list, density, seed, rho_max)[0]
 
-    Finite cover radius: returns a closed ball through x of exactly that
-    radius, checked against the distance oracle.  Infinite cover radius:
-    returns a unit direction whose tangent delta-balls are checked for every
-    requested delta (the infinite family is never represented as a ball).
+
+def construct_witness_many(
+    desc: ClosedSetDesc,
+    radius_field: RadiusField,
+    X,
+    delta_list=(1.0, 10.0, 100.0),
+    density: int | None = None,
+    seed: int = 0,
+    rho_max: float | None = None,
+) -> list[WitnessBall]:
+    """Build and validate the witness of each exterior point, a row of X.
+
+    Finite cover radius: a closed ball through x of exactly that radius,
+    checked against the distance oracle.  Infinite cover radius: a unit
+    direction whose tangent delta-balls are checked for every requested
+    delta (the infinite family is never represented as a ball).  Every row
+    is built as its one-row call would build it; when rows fail (a point in
+    the set, a bad coordinate list, a radius rule that fails), the error of
+    the first failing row is raised.
     """
-    x = as_vec(x, dim=desc.dim)
-    if desc.contains(x):
-        raise GeometryError(f"{x.tolist()} lies in the set; witnesses cover the complement")
-    attained = attaining_projection(radius_field, desc.project(x))
-    return _witness(desc, radius_field, x, attained, delta_list, density, seed, rho_max)
+    out: list = [None] * len(X)
+    points = {}
+    for i, x in enumerate(X):
+        try:
+            points[i] = as_vec(x, dim=desc.dim)
+        except GeometryError as exc:
+            out[i] = exc
+    rows, P = list(points), np.asarray(list(points.values())).reshape(-1, desc.dim)
+    inside = desc.contains_many(P, per_row=True)
+    for i, x, member in zip(rows, P, inside):
+        if member:
+            out[i] = GeometryError(f"{x.tolist()} lies in the set; witnesses cover the complement")
+    rows, P = [i for i, member in zip(rows, inside) if not member], P[~inside]
+    scored, attained = [], []  # positions in P, attaining projections
+    for k, proj in enumerate(desc.project_many(P)):
+        try:
+            attained.append(attaining_projection(radius_field, proj))
+            scored.append(k)
+        except _ROW_ERRORS as exc:
+            out[rows[k]] = exc
+    witnesses = _witnesses(desc, radius_field, P[scored], attained, delta_list, density, seed, rho_max)
+    for k, w in zip(scored, witnesses):
+        out[rows[k]] = w
+    for w in out:
+        if isinstance(w, Exception):
+            raise w
+    return out
 
 
-def _witness(desc, radius_field, x, attained, delta_list, density, seed, rho_max) -> WitnessBall:
-    """The witness for the exterior point x, given its attaining projection."""
+def _witnesses(desc, radius_field, X, attained, delta_list, density, seed, rho_max) -> list:
+    """The witness of each exterior row of X, given its attaining projection
+    (``attaining_projection``), or the GeometryError or ConstructionError
+    that row's construction raised."""
     density = default_density(desc.dim) if density is None else density
     rho_max = default_rho_max(desc) if rho_max is None else float(rho_max)
-    a_x, labels, proj, rho = attained
-    rho_x = proj.distance
-    zeta = normalized(x - a_x)
     tol = desc.realize_tol
-    inter = {"a_x": as_tuple(a_x), "rho_x": rho_x, "labels": labels}
-
-    if math.isfinite(rho):
-        if rho < rho_x:
-            witness = _validated(desc, x, x, rho, "C1-direct", inter, tol)
-            if witness is not None:
-                return witness
-            return WitnessBall(
-                as_tuple(x), "failed", ok=False, intermediates=inter,
-                note="direct ball failed oracle validation",
-            )
-        if not desc.in_boundary_of_interior(a_x):
-            center = x + rho * zeta
-            witness = _validated(desc, x, center, rho, "C1.1", inter, tol)
-            if witness is not None:
-                return witness
-            return WitnessBall(
-                as_tuple(x), "failed", ok=False, intermediates=inter,
-                note="outward ball failed validation; condition violated near the projection",
-            )
-        return _epsilon_loop(
-            desc, radius_field, x, a_x, rho_x,
-            target=2.0 * rho, density=density, rho_max=rho_max, seed=seed, synthetic=False,
-        )
-
-    # Infinite cover radius.
     deltas = _deltas(desc, delta_list)
-    if not desc.in_boundary_of_interior(a_x):
-        return _delta_validated(desc, x, zeta, deltas, "C2.1", inter, tol)
-    target = 4.0 * max(deltas)
-    synthetic = _epsilon_loop(
-        desc, radius_field, x, a_x, rho_x,
-        target=target, density=density, rho_max=rho_max, seed=seed, synthetic=True,
-    )
-    if not synthetic.ok:
-        return WitnessBall(
-            as_tuple(x), "failed", ok=False, intermediates=synthetic.intermediates,
-            note=f"synthetic finite run failed: {synthetic.note}",
-        )
-    center = np.asarray(synthetic.ball.center)
-    offset = center - x
-    u = zeta if norm(offset) <= tol else normalized(offset)
-    inter = dict(synthetic.intermediates)
-    inter["synthetic_target"] = target
-    inter["synthetic_case"] = synthetic.case_tag
-    return _delta_validated(
-        desc, x, u, deltas, "C2-finite-delta", inter, tol,
-        extra_note=f"via synthetic target {target:.6g}",
-    )
+    out: list = [None] * len(X)
+    balls = []  # (row, center, radius, tag, intermediates, note on failure)
+    directions = []  # (row, direction, tag, intermediates, note)
+    undecided = []  # (row, zeta, intermediates): is a_x on the boundary of the interior?
+    for i, (x, (a_x, labels, proj, rho)) in enumerate(zip(X, attained)):
+        inter = {"a_x": as_tuple(a_x), "rho_x": proj.distance, "labels": labels}
+        try:
+            zeta = normalized(x - a_x)
+        except GeometryError as exc:
+            out[i] = exc
+            continue
+        if math.isfinite(rho) and rho < proj.distance:
+            balls.append((i, x, rho, "C1-direct", inter, "direct ball failed oracle validation"))
+        else:
+            undecided.append((i, zeta, inter))
+    loops, zetas = [], {}
+    if undecided:
+        A = np.asarray([attained[i][0] for i, _, _ in undecided])
+        on, inner = _ask(desc.boundary_of_interior_many, A)
+        for (i, zeta, inter), a_x, is_on, is_inner in zip(undecided, A, on, inner):
+            x, rho = X[i], attained[i][-1]
+            if not is_on:
+                out[i] = GeometryError(f"point {a_x.tolist()} is not on the set boundary")
+            elif is_inner:
+                zetas[i] = zeta
+                target = 2.0 * rho if math.isfinite(rho) else 4.0 * max(deltas)
+                loops.append(_Loop(i, x, a_x, inter["rho_x"], target, not math.isfinite(rho)))
+            elif math.isfinite(rho):
+                balls.append((
+                    i, x + rho * zeta, rho, "C1.1", inter,
+                    "outward ball failed validation; condition violated near the projection",
+                ))
+            else:
+                directions.append((i, zeta, "C2.1", inter, ""))
+    ended = _epsilon_loops(desc, radius_field, loops, density, rho_max, seed)
+    for loop in loops:
+        w = ended[loop.row]
+        if not loop.synthetic or isinstance(w, Exception):
+            out[loop.row] = w
+        elif not w.ok:
+            out[loop.row] = WitnessBall(
+                as_tuple(loop.x), "failed", ok=False, intermediates=w.intermediates,
+                note=f"synthetic finite run failed: {w.note}",
+            )
+        else:
+            offset = np.asarray(w.ball.center) - loop.x
+            u = zetas[loop.row] if norm(offset) <= tol else normalized(offset)
+            inter = dict(w.intermediates)
+            inter["synthetic_target"] = loop.target
+            inter["synthetic_case"] = w.case_tag
+            directions.append(
+                (loop.row, u, "C2-finite-delta", inter, f"via synthetic target {loop.target:.6g}")
+            )
+
+    if balls:
+        C = np.asarray([center for _, center, _, _, _, _ in balls])
+        holds = _balls_hold(desc, X[[b[0] for b in balls]], C, [b[2] for b in balls], tol)
+        for (i, center, radius, tag, inter, failure), ok in zip(balls, holds):
+            x = as_tuple(X[i])
+            try:
+                out[i] = (
+                    WitnessBall(x, tag, ball=Ball(center, radius), intermediates=inter) if ok
+                    else WitnessBall(x, "failed", ok=False, intermediates=inter, note=failure)
+                )
+            except GeometryError as exc:
+                out[i] = exc
+    if directions:
+        U = np.asarray([u for _, u, _, _, _ in directions])
+        X_dir = X[[d[0] for d in directions]]
+        D = np.asarray(deltas, dtype=float)
+        P = X_dir[:, None, :] + D[None, :, None] * U[:, None, :]
+        clearance = _ask(desc.distance_many, P.reshape(-1, desc.dim)).reshape(len(U), len(D))
+        for (i, u, tag, inter, note), clear in zip(directions, clearance):
+            ok = bool(np.all(clear >= D - tol))
+            out[i] = WitnessBall(
+                as_tuple(X[i]), tag, direction=as_tuple(u), intermediates=inter,
+                delta_checks=tuple((float(d), float(c)) for d, c in zip(deltas, clear)), ok=ok,
+                note=note if ok else "a requested delta-ball met the set",
+            )
+    return out
 
 
 @dataclass
@@ -414,30 +645,37 @@ def verify_union_of_balls(
     """Check the union-of-closed-balls property of the complement by sampling.
 
     Each sample is projected once; its cover radius and its witness come
-    from that projection.  Finite cover radius: the witness ball must
-    contain the sample and keep the full cover radius away from the set.
-    Infinite cover radius: the witness direction must admit the tangent
-    family of closed delta-balls for every delta of the list (the scene
-    diameter when it is empty).  Both tests allow the scene's ball tolerance.
+    from that projection, and the witnesses of all samples are built in one
+    batch.  Finite cover radius: the witness ball must contain the sample
+    and keep the full cover radius away from the set.  Infinite cover
+    radius: the witness direction must admit the tangent family of closed
+    delta-balls for every delta of the list (the scene diameter when it is
+    empty).  Both tests allow the scene's ball tolerance.
     """
     tol = desc.ball_tol
     deltas = _deltas(desc, delta_list)
     pts = desc.sample_exterior(samples, seed=seed)
+    outcome: list = [None] * len(pts)
+    scored, attained = [], []
+    for i, proj in enumerate(desc.project_many(pts)):
+        try:
+            attained.append(attaining_projection(radius_field, proj))
+            scored.append(i)
+        except _ROW_ERRORS as exc:
+            outcome[i] = CoverViolation(as_tuple(pts[i]), "radius-error", str(exc))
+    witnesses = _witnesses(desc, radius_field, pts[scored], attained, deltas, density, seed, rho_max)
+    for i, (*_, rho), witness in zip(scored, attained, witnesses):
+        outcome[i] = (rho, witness)
     violations: list[CoverViolation] = []
-    for x, proj in zip(pts, desc.project_many(pts)):
+    for x, result in zip(pts, outcome):
         point = as_tuple(x)
-        try:
-            attained = attaining_projection(radius_field, proj)
-        except (GeometryError, ConstructionError) as exc:
-            violations.append(CoverViolation(point, "radius-error", str(exc)))
+        if isinstance(result, CoverViolation):
+            violations.append(result)
             continue
-        try:
-            witness = _witness(desc, radius_field, x, attained, deltas, density, seed, rho_max)
-        except (GeometryError, ConstructionError) as exc:
-            violations.append(CoverViolation(point, "witness-error", str(exc)))
-            continue
-        rho = attained[-1]
-        if not witness.ok:
+        rho, witness = result
+        if isinstance(witness, Exception):
+            violations.append(CoverViolation(point, "witness-error", str(witness)))
+        elif not witness.ok:
             violations.append(CoverViolation(point, "witness-failed", witness.note))
         elif math.isfinite(rho):
             center = np.asarray(witness.ball.center, dtype=float)

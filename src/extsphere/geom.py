@@ -134,44 +134,53 @@ def sphere_line_roots(x, xi, center, eps: float) -> tuple[float, float] | None:
         raise GeometryError("direction dimension mismatch")
     if not (eps > 0.0 and math.isfinite(eps)):
         raise GeometryError(f"sphere radius must be positive and finite, got {eps!r}")
-    w = x - center
-    half_b = float(w @ xi)
-    c = float(w @ w) - eps * eps
-    disc = half_b * half_b - c
-    if disc <= DISCRIMINANT_FLOOR:
-        return None
-    root = math.sqrt(disc)
-    return (-half_b - root, -half_b + root)
+    t1, t2 = sphere_line_roots_many(x[None, :], xi[None, :], center[None, :], np.array([eps]))
+    return None if math.isnan(t1[0]) else (float(t1[0]), float(t2[0]))
 
 
-def bisect(keep_lo, lo, hi, steps: int | None = None, width: float | None = None):
+def sphere_line_roots_many(X, XI, C, eps) -> tuple[np.ndarray, np.ndarray]:
+    """``sphere_line_roots`` for each row of X, XI (unit directions) and C
+    and each radius of eps, unchecked: the roots t1 and t2 of every row,
+    NaN where the line misses the sphere or touches it.  The arithmetic is
+    per row, so each row has the bits of its one-row call."""
+    W = X - C
+    half_b = np.vecdot(W, XI)
+    disc = half_b * half_b - (np.vecdot(W, W) - eps * eps)
+    root = np.sqrt(np.where(disc > DISCRIMINANT_FLOOR, disc, np.nan))
+    return -half_b - root, -half_b + root
+
+
+def bisect(keep_lo, lo, hi, steps: int | None = None, width=None):
     """Halve the bracket [lo, hi] ``steps`` times, or until it is at most
     ``width`` wide; returns the final (lo, hi).
 
     ``keep_lo(mid)`` says whether the midpoint replaces lo (else it replaces
     hi).  lo and hi are floats, two points (the segment between them is
     halved; pass ``steps``), or arrays of brackets halved in lockstep, for
-    which ``keep_lo`` returns one flag per bracket and ``width`` bounds the
-    widest.  Brackets of points are (k, d) arrays of ends, one segment per
-    row, with one flag per row.  A single flag takes a plain branch, because
-    numpy calls on scalars would cost more per step than the scalar queries
-    they bisect.
+    which ``keep_lo`` returns one flag per bracket and ``width`` is one
+    width for all brackets or one per bracket: each bracket freezes once its
+    own gap is at most its own width, so it ends where its scalar run ends,
+    and the others go on.  Brackets of points are (k, d) arrays of ends, one
+    segment per row, with one flag per row.  A single flag takes a plain
+    branch, because numpy calls on scalars would cost more per step than the
+    scalar queries they bisect.
     """
     done = 0
+    live = True
     while True:
         if steps is not None:
             if done == steps:
                 return lo, hi
         else:
-            gap = hi - lo
-            if not (gap.max() if isinstance(gap, np.ndarray) else gap) > width:
+            live = hi - lo > width
+            if not (live.any() if isinstance(live, np.ndarray) else live):
                 return lo, hi
         mid = 0.5 * (lo + hi)
         keep = keep_lo(mid)
         if isinstance(keep, np.ndarray):
             if keep.ndim < mid.ndim:  # one flag per (k, d) point bracket
                 keep = keep[:, None]
-            lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
+            lo, hi = np.where(keep & live, mid, lo), np.where(~keep & live, mid, hi)
         elif keep:
             lo = mid
         else:

@@ -70,7 +70,9 @@ class Primitive:
     def leaves(self) -> list:
         return [self]
 
-    def contains_many(self, P: np.ndarray, tol: float) -> np.ndarray:
+    def contains_many(self, P: np.ndarray, tol: float, per_row: bool = False) -> np.ndarray:
+        """Membership within tol of each row; ``per_row`` asks for every
+        row's one-row bits (see ``ClosedSetDesc.contains_many``)."""
         raise NotImplementedError
 
     def interior_many(self, P: np.ndarray, tol: float) -> np.ndarray:
@@ -162,11 +164,11 @@ class HalfSpace(Primitive):
         self.offset = float(self.offset) / length
         self.dim = self.normal.shape[0]
 
-    def _gap(self, P):
-        return P @ self.normal - self.offset
+    def _gap(self, P, per_row=False):
+        return (np.vecdot(P, self.normal) if per_row else P @ self.normal) - self.offset
 
-    def contains_many(self, P, tol):
-        return self._gap(P) <= tol
+    def contains_many(self, P, tol, per_row=False):
+        return self._gap(P, per_row) <= tol
 
     def interior_many(self, P, tol):
         return self._gap(P) < -tol
@@ -288,7 +290,7 @@ class ClosedBall(_Sphere):
     label: str = "ball"
     convex: bool = True
 
-    def contains_many(self, P, tol):
+    def contains_many(self, P, tol, per_row=False):
         return self._r(P) <= self.radius + tol
 
     def interior_many(self, P, tol):
@@ -336,7 +338,7 @@ class BallComplement(_Sphere):
     label: str = "ballcomplement"
     convex: bool = False
 
-    def contains_many(self, P, tol):
+    def contains_many(self, P, tol, per_row=False):
         return self._r(P) >= self.radius - tol
 
     def interior_many(self, P, tol):
@@ -419,11 +421,11 @@ class Slab(Primitive):
             HalfSpace(-self.normal, -self.lo, label=self.label),
         )
 
-    def _g(self, P):
-        return P @ self.normal
+    def _g(self, P, per_row=False):
+        return np.vecdot(P, self.normal) if per_row else P @ self.normal
 
-    def contains_many(self, P, tol):
-        g = self._g(P)
+    def contains_many(self, P, tol, per_row=False):
+        g = self._g(P, per_row)
         return (g >= self.lo - tol) & (g <= self.hi + tol)
 
     def interior_many(self, P, tol):
@@ -527,7 +529,7 @@ class AffineSubspace(Primitive):
             W = W - np.matmul(coef[:, None, :], self.basis)[:, 0]
         return W
 
-    def contains_many(self, P, tol):
+    def contains_many(self, P, tol, per_row=False):
         return np.linalg.norm(self._residual(P), axis=1) <= tol
 
     def interior_many(self, P, tol):
@@ -606,7 +608,7 @@ class FinitePointSet(Primitive):
     def _dists(self, P):
         return np.linalg.norm(P[:, None, :] - self.points[None, :, :], axis=2)
 
-    def contains_many(self, P, tol):
+    def contains_many(self, P, tol, per_row=False):
         return self._dists(P).min(axis=1) <= tol
 
     def interior_many(self, P, tol):
@@ -668,10 +670,10 @@ class Union:
     def convex(self) -> bool:
         return len(self.children) == 1 and self.children[0].convex
 
-    def contains_many(self, P, tol):
+    def contains_many(self, P, tol, per_row=False):
         out = np.zeros(P.shape[0], dtype=bool)
         for child in self.children:
-            out |= child.contains_many(P, tol)
+            out |= child.contains_many(P, tol, per_row)
         return out
 
     def interior_many(self, P, tol):
@@ -850,10 +852,10 @@ class Intersection:
     def convex(self) -> bool:
         return all(child.convex for child in self.children)
 
-    def contains_many(self, P, tol):
+    def contains_many(self, P, tol, per_row=False):
         out = np.ones(P.shape[0], dtype=bool)
         for child in self.children:
-            out &= child.contains_many(P, tol)
+            out &= child.contains_many(P, tol, per_row)
         return out
 
     def interior_many(self, P, tol):
@@ -1153,8 +1155,14 @@ class ClosedSetDesc:
 
     # -- membership ----------------------------------------------------------
 
-    def contains_many(self, P) -> np.ndarray:
-        return self.root.contains_many(_as_points(P, self.dim), self.membership_tol)
+    def contains_many(self, P, per_row: bool = False) -> np.ndarray:
+        """Membership of each row of P.  Half-space and slab membership
+        takes BLAS gemv, which rounds a lone row differently from a batch
+        of two rows or more (every batch of two or more gives a row the same
+        bits); ``per_row`` takes ``np.vecdot`` instead, which gives every
+        row the bits of its one-row call at any row count, at a few times
+        the cost per row."""
+        return self.root.contains_many(_as_points(P, self.dim), self.membership_tol, per_row)
 
     def contains(self, x) -> bool:
         return bool(self.contains_many(np.asarray(x, dtype=float)[None, :])[0])

@@ -247,11 +247,13 @@ class TestVerifyUnionOfBalls:
             verify_union_of_balls(strip.desc, strip.rf, samples=3, seed=5)
 
     def test_failing_witness_is_reported(self, strip, monkeypatch):
-        def displaced(desc, rf, x, attained, *args):
-            center = np.asarray(x) + np.asarray([0.0, 5.0])
-            return WitnessBall(tuple(x), "C1-direct", ball=Ball(center, attained[-1]))
+        def displaced(desc, rf, X, attained, *args):
+            return [
+                WitnessBall(tuple(x), "C1-direct", ball=Ball(x + np.asarray([0.0, 5.0]), rho))
+                for x, (*_, rho) in zip(X, attained)
+            ]
 
-        monkeypatch.setattr(cover, "_witness", displaced)
+        monkeypatch.setattr(cover, "_witnesses", displaced)
         report = verify_union_of_balls(strip.desc, strip.rf, samples=20, seed=5)
         assert report.verdict == "fails"
         assert {v.kind for v in report.violations} == {"not-covered"}
@@ -272,10 +274,10 @@ class TestVerifyUnionOfBalls:
     def test_empty_delta_list_rechecks_the_diameter(self, halfplane, monkeypatch):
         # A witness direction into the set: the diameter-sized delta-ball
         # the witness stands for must be re-checked, and it meets the set.
-        def downward(desc, rf, x, attained, *args):
-            return WitnessBall(tuple(x), "C2.1", direction=(0.0, -1.0))
+        def downward(desc, rf, X, attained, *args):
+            return [WitnessBall(tuple(x), "C2.1", direction=(0.0, -1.0)) for x in X]
 
-        monkeypatch.setattr(cover, "_witness", downward)
+        monkeypatch.setattr(cover, "_witnesses", downward)
         report = verify_union_of_balls(
             halfplane.desc, halfplane.rf, samples=4, delta_list=(), seed=5
         )

@@ -1,21 +1,28 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from extsphere.cli import main
+from extsphere.cli import _jsonable, main
 from extsphere.cover import (
     ConstructionError,
     boundary_crossing,
     bridging_ball_radius,
     construct_witness,
+    construct_witness_many,
     find_interior_point_near,
 )
 from extsphere.geom import GeometryError
 from extsphere.scene import parse_scene
 from extsphere.sets import ClosedSetDesc
 
-from conftest import make_ball, make_ballcomplement, make_strip
+from conftest import (
+    SceneFix, make_ball, make_ballcomplement, make_halfplane, make_pointset, make_strip,
+)
+
+SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
 
 class TestBridgingBallRadius:
@@ -182,18 +189,21 @@ class TestConstructWitness:
         assert np.allclose(w.direction, [0, 1], atol=1e-6)
 
     def test_one_projection_per_witness(self, strip, monkeypatch):
-        calls = []
-        original = ClosedSetDesc.project
+        # One projection call per batch, one projected row per witness.
+        rows = []
+        original = ClosedSetDesc.project_many
 
-        def counting(desc, x):
-            calls.append(tuple(np.asarray(x, dtype=float)))
-            return original(desc, x)
+        def counting(desc, P):
+            rows.append(len(P))
+            return original(desc, P)
 
-        monkeypatch.setattr(ClosedSetDesc, "project", counting)
-        for x in [(0, 1), (0, 1.75), (0, 0.3), (3, 1.5), (-2, 0.01)]:
-            calls.clear()
-            assert construct_witness(strip.desc, strip.rf, x).ok
-            assert calls == [x], x
+        monkeypatch.setattr(ClosedSetDesc, "project_many", counting)
+        points = [(0, 1), (0, 1.75), (0, 0.3), (3, 1.5), (-2, 0.01)]
+        assert all(w.ok for w in construct_witness_many(strip.desc, strip.rf, points))
+        assert rows == [len(points)]
+        rows.clear()
+        assert construct_witness(strip.desc, strip.rf, points[1]).ok
+        assert rows == [1]
 
     def test_rejects_member_point(self, strip):
         with pytest.raises(GeometryError):
@@ -246,3 +256,64 @@ class TestConstructWitness:
                 tags.add(construct_witness(fix.desc, fix.rf, x, seed=i).case_tag)
         assert "C1-direct" in tags
         assert any(t.startswith("C1.2") for t in tags)
+
+
+def _as_json(witness) -> str:
+    return json.dumps(_jsonable(witness), sort_keys=True)
+
+
+def make_pentagon_line() -> SceneFix:
+    scene = parse_scene(PENTAGON_LINE)
+    return SceneFix(scene.desc, scene.radius_field)
+
+
+class TestConstructWitnessMany:
+    @pytest.mark.parametrize("maker,tags", [
+        (make_strip, {"C1-direct", "C1.2.2"}),
+        (make_ball, {"C1-direct", "C1.2.2"}),
+        (make_ballcomplement, {"C1-direct", "C1.2.2"}),
+        (make_halfplane, {"C2-finite-delta"}),
+        (make_pointset, {"C2.1"}),
+        # Generic normals, where a lone membership row rounds apart from
+        # a batch: the crossings must still land where one-row calls do.
+        (make_pentagon_line, {"C1-direct", "C1.1", "C1.2.2", "failed"}),
+    ])
+    def test_batched_witnesses_equal_one_row_witnesses(self, maker, tags):
+        # The probes nearest the boundary run the epsilon loop; a batch
+        # builds every row as its one-row call does, bit for bit.
+        fix = maker()
+        pts = fix.desc.sample_exterior(200, seed=13)
+        X = pts[np.argsort(fix.desc.distance_many(pts))][::5]
+        batch = construct_witness_many(fix.desc, fix.rf, X, delta_list=(1.0, 10.0), seed=4)
+        assert len(batch) == len(X)
+        for x, w in zip(X, batch):
+            one = construct_witness(fix.desc, fix.rf, x, delta_list=(1.0, 10.0), seed=4)
+            assert _as_json(w) == _as_json(one), x
+        assert tags <= {w.case_tag for w in batch}
+
+    def test_failed_probe_keeps_its_note_in_a_batch(self):
+        scene = parse_scene(PENTAGON_LINE)
+        X = [PENTAGON_PROBE, *scene.desc.sample_exterior(6, seed=2)]
+        kwargs = {"delta_list": (1.0, 10.0), "seed": 1, "rho_max": 100.0}
+        batch = construct_witness_many(scene.desc, scene.radius_field, X, **kwargs)
+        assert batch[0].case_tag == "failed" and "no interior point found" in batch[0].note
+        assert "np.float64" not in batch[0].note
+        for x, w in zip(X, batch):
+            one = construct_witness(scene.desc, scene.radius_field, x, **kwargs)
+            assert _as_json(w) == _as_json(one), x
+
+    def test_first_failing_row_raises(self, strip):
+        with pytest.raises(GeometryError, match=r"\[0\.0, 3\.0\] lies in the set"):
+            construct_witness_many(strip.desc, strip.rf, [(0, 1), (0, 3), (0, -1)])
+        with pytest.raises(GeometryError, match="expected dimension 2"):
+            construct_witness_many(strip.desc, strip.rf, [(0, 1), (0, 1, 0), (0, -1)])
+
+    def test_empty_batch(self, strip):
+        assert construct_witness_many(strip.desc, strip.rf, []) == []
+
+    def test_cover_names_the_first_member_probe(self, capsys):
+        path = os.path.join(SCENES, "strip.scene")
+        assert main(["cover", path, "--points", "(0,1) (0,3) (0,-1)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[0.0, 3.0] lies in the set" in captured.err

@@ -166,6 +166,22 @@ class TestBisect:
             assert np.array_equal(lo[k], alone[0]) and np.array_equal(hi[k], alone[1])
         assert np.allclose(lo, [[0.6, 0.8], [0.0, 2.0]], atol=1e-12)
 
+    def test_mixed_widths_freeze_row_by_row(self):
+        # Brackets of different starts and widths in lockstep: each freezes
+        # once its own gap is at most its own width, so every row ends where
+        # its scalar run ends, bit for bit, while the others halve on.
+        rng = np.random.default_rng(5)
+        lo0 = rng.uniform(-3.0, 0.0, size=12)
+        hi0 = lo0 + rng.uniform(0.1, 8.0, size=12)
+        roots = lo0 + rng.uniform(0.0, 1.0, size=12) * (hi0 - lo0)
+        widths = 10.0 ** rng.uniform(-14.0, -1.0, size=12)
+        lo, hi = bisect(lambda t: t <= roots, lo0, hi0, width=widths)
+        for k in range(12):
+            alone = bisect(lambda t: t <= roots[k], float(lo0[k]), float(hi0[k]),
+                           width=float(widths[k]))
+            assert (lo[k], hi[k]) == alone, k
+            assert hi[k] - lo[k] <= widths[k]
+
     def test_lockstep_brackets_flip_at_their_own_roots(self):
         roots = np.array([0.25, 0.5, 3.0])
         lo, hi = bisect(lambda t: t <= roots, np.zeros(3), np.full(3, 4.0), width=1e-9)

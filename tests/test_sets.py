@@ -533,25 +533,38 @@ class TestSlabAndAffine:
             AffineSubspace((0, 0, 0), basis)
 
 
-class TestDistanceRows:
-    """Every row of ``distance_many`` carries the bits of a one-row call at
-    any row count, on every leaf type and both CSG nodes; gemv would round
-    a lone row apart from a batch only for normals off the axes, so those
-    are the cases."""
+_ROW_LEAVES = [
+    HalfSpace((0.6, -0.8), 0.3),
+    HalfSpace((0.3, 0.7, -0.2), 0.1),
+    Slab((0.9, 0.2, -0.4), -0.5, 0.7),
+    ClosedBall((0.3, -0.2), 1.1),
+    BallComplement((0.1, 0.4, -0.3), 0.9),
+    AffineSubspace((0.2, 0.1, -0.3), [(0.6, 0.8, 0.0)]),
+    FinitePointSet(((0.5, 0.5), (-1.0, 0.2))),
+    Union([HalfSpace((0.6, -0.8), 0.3, label="h"), ClosedBall((0.3, -0.2), 1.1, label="b")]),
+    Intersection([HalfSpace((1, 1), 0.5, label="h"), ClosedBall((0.2, 0.1), 1.3, label="b")]),
+]
 
-    @pytest.mark.parametrize("leaf", [
-        HalfSpace((0.6, -0.8), 0.3),
-        HalfSpace((0.3, 0.7, -0.2), 0.1),
-        Slab((0.9, 0.2, -0.4), -0.5, 0.7),
-        ClosedBall((0.3, -0.2), 1.1),
-        BallComplement((0.1, 0.4, -0.3), 0.9),
-        AffineSubspace((0.2, 0.1, -0.3), [(0.6, 0.8, 0.0)]),
-        FinitePointSet(((0.5, 0.5), (-1.0, 0.2))),
-        Union([HalfSpace((0.6, -0.8), 0.3, label="h"), ClosedBall((0.3, -0.2), 1.1, label="b")]),
-        Intersection([HalfSpace((1, 1), 0.5, label="h"), ClosedBall((0.2, 0.1), 1.3, label="b")]),
-    ])
+
+class TestDistanceRows:
+    """Every row of ``distance_many``, and of ``contains_many`` asked
+    ``per_row``, carries the bits of a one-row call at any row count, on
+    every leaf type and both CSG nodes; gemv would round a lone row apart
+    from a batch only for normals off the axes, so those are the cases."""
+
+    @pytest.mark.parametrize("leaf", _ROW_LEAVES)
     def test_rows_equal_one_row_calls(self, leaf):
         P = np.random.default_rng(5).uniform(-3, 3, size=(1000, leaf.leaves[0].dim))
         one = np.concatenate([leaf.distance_many(P[i:i + 1], 0.0) for i in range(len(P))])
         for m in (1, 2, 7, 1000):
             assert np.array_equal(leaf.distance_many(P[:m], 0.0), one[:m])
+
+    @pytest.mark.parametrize("leaf", _ROW_LEAVES)
+    def test_per_row_membership_equals_one_row_calls(self, leaf):
+        # Projections onto the set sit within rounding of its boundary, so
+        # with no tolerance their membership is decided by the last bits.
+        P = np.random.default_rng(6).uniform(-3, 3, size=(400, leaf.leaves[0].dim))
+        B = np.asarray([proj.points[0] for proj in ClosedSetDesc(leaf).project_many(P)])
+        one = np.concatenate([leaf.contains_many(B[i:i + 1], 0.0) for i in range(len(B))])
+        for m in (1, 2, 7, 400):
+            assert np.array_equal(leaf.contains_many(B[:m], 0.0, per_row=True), one[:m])
