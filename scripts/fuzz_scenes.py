@@ -14,6 +14,9 @@ checks, per scene:
   that the S-convexity probe bisects in lockstep and the witnesses of the
   exterior samples built in one batch (half-space normals here are
   generic, where one-row and batched kernels could round differently),
+* the boundary points of every half-space and line leaf, drawn in blocks,
+  equal the one-row rejection draws bit for bit and leave the generator
+  where those leave it,
 * the three-way harness verdicts agree (the consistency flag).
 
 Exit status 0 when every scene passes; detailed lines otherwise.
@@ -50,6 +53,7 @@ from extsphere.sets import (  # noqa: E402
     FinitePointSet,
     HalfSpace,
     SetError,
+    Slab,
     Union,
 )
 
@@ -89,6 +93,58 @@ def random_radius_field(desc, rng):
     for leaf in desc.leaves:
         rules[leaf.label] = "inf" if rng.random() < 0.25 else float(rng.uniform(0.3, 2.5))
     return RadiusField.from_sources(rules)
+
+
+def one_row_boundary_points(leaf, count, rng, box):
+    """Boundary points of a half-space, slab or affine subspace leaf drawn
+    by the one-row rejection loop: one row of uniforms per try, at most 200
+    tries per point, the leaf's fallback point when none lands in the box.
+    ``boundary_points`` must give the same bits and consume rng the same."""
+    if isinstance(leaf, Slab):
+        top, bot = leaf._faces
+        half = max(1, count // 2)
+        return np.concatenate([
+            one_row_boundary_points(top, half, rng, box),
+            one_row_boundary_points(bot, count - half, rng, box),
+        ])
+    lo, hi = box
+    span = np.linalg.norm(hi - lo)
+    out = []
+    tries = 0
+    while len(out) < count and tries < 200 * count:
+        tries += 1
+        if isinstance(leaf, HalfSpace):
+            p = rng.uniform(lo, hi)
+            q = p - (float(p @ leaf.normal) - leaf.offset) * leaf.normal
+        else:
+            q = leaf.point + rng.uniform(-span, span, size=leaf.subspace_dim) @ leaf.basis
+        if np.all(q >= lo - 1e-12) and np.all(q <= hi + 1e-12):
+            out.append(q)
+    if not out:
+        out = [leaf.offset * leaf.normal if isinstance(leaf, HalfSpace) else leaf.point]
+    return np.asarray(out)
+
+
+def boundary_draw_problems(desc, seed: int) -> list[str]:
+    """Boundary points of each half-space and affine subspace leaf, drawn
+    by ``boundary_points`` at several counts in turn from one generator,
+    against the one-row reference on a twin generator; the draw after the
+    last call pins the stream position."""
+    problems = []
+    for leaf in desc.leaves:
+        if not isinstance(leaf, (HalfSpace, AffineSubspace)):
+            continue
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for count in (1, 8, 64):
+            got = leaf.boundary_points(count, rng, desc.box)
+            want = one_row_boundary_points(leaf, count, twin, desc.box)
+            if not np.array_equal(got, want):
+                problems.append(f"seed {seed}: {leaf.label} boundary points at count {count} "
+                                "differ from the one-row draws")
+        if rng.uniform() != twin.uniform():
+            problems.append(f"seed {seed}: {leaf.label} boundary draws leave the generator "
+                            "elsewhere than the one-row draws")
+    return problems
 
 
 def batched_cone_problems(desc, seed: int) -> list[str]:
@@ -182,6 +238,7 @@ def run_one(seed: int, with_harness: bool) -> list[str]:
     else:
         return [f"seed {seed}: could not build a valid scene"]
     rf = random_radius_field(desc, rng)
+    problems.extend(boundary_draw_problems(desc, seed))
 
     oracle = desc.oracle
     lo, hi = desc.box

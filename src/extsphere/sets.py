@@ -107,7 +107,18 @@ class Primitive:
         raise NotImplementedError
 
     def boundary_points(self, count: int, rng: np.random.Generator, box) -> np.ndarray:
-        """Up to count points on the leaf boundary inside the box."""
+        """Points on the leaf boundary, drawn from rng.
+
+        Spheres return count points, inside the box or not; a point set
+        returns its points.  Half-spaces and affine subspaces return up to
+        count points inside the box, found by rejection with at most 200
+        tries per point, or, when no try lands inside, the leaf's fallback
+        point alone (a half-space's anchor ``offset * normal``, an affine
+        subspace's ``point``), which lies outside the box whenever the leaf
+        misses it.  A slab asks its upper face for ``max(1, count // 2)``
+        points and its lower face for the rest.  A call consumes rng exactly
+        as one-row draws, one row of uniforms per try, would.
+        """
         raise NotImplementedError
 
     def normal_directions(self, a: np.ndarray) -> list[np.ndarray]:
@@ -129,6 +140,46 @@ class Primitive:
     def finite_extent(self):
         """Axis-aligned (lo, hi) hull when bounded, else None."""
         return None
+
+
+# Rows of uniforms drawn per block by ``_draw_inside``, at the least.
+_BLOCK_ROWS = 256
+
+
+def _draw_inside(count, rng, box, low, high, width, place, fallback) -> np.ndarray:
+    """The first count rows of ``place(U)`` inside the box, U drawn from
+    ``rng.uniform(low, high)`` one row of width per try, at most 200 * count
+    tries; ``fallback`` alone when no try lands inside.
+
+    The rows are drawn in blocks that never pass the cap, and the generator
+    is then rewound to just after the last row used, so the stream is left
+    where one-row draws leave it.  ``place`` must give each row the bits it
+    gives that row alone.
+    """
+    lo, hi = box
+    cap = 200 * count
+    start = rng.bit_generator.state
+    kept = []
+    need, drawn, used = count, 0, 0
+    while need > 0 and drawn < cap:
+        rows = min(cap - drawn, max(_BLOCK_ROWS, drawn))
+        Q = place(rng.uniform(low, high, size=(rows, width)))
+        inside = np.flatnonzero(np.all((Q >= lo - 1e-12) & (Q <= hi + 1e-12), axis=1))[:need]
+        kept.append(Q[inside])
+        need -= inside.shape[0]
+        used = drawn + (int(inside[-1]) + 1 if need == 0 else rows)
+        drawn += rows
+    if used < drawn:
+        # ``advance`` counts 64-bit draws (one per uniform) and clears the
+        # buffered 32-bit half, which uniform draws never touch.
+        bitgen = rng.bit_generator
+        bitgen.state = start
+        bitgen.advance(used * width)
+        bitgen.state = {**bitgen.state, "has_uint32": start["has_uint32"],
+                        "uinteger": start["uinteger"]}
+    if need == count:
+        return np.array([fallback])
+    return np.concatenate(kept)
 
 
 def _clip_quadratic_leq(half_b: float, c: float, snap: float) -> list[tuple[float, float]]:
@@ -197,19 +248,13 @@ class HalfSpace(Primitive):
         return IntervalSet([(0.0, t_star)]) if t_star >= 0.0 else IntervalSet.empty()
 
     def boundary_points(self, count, rng, box):
-        lo, hi = box
-        anchor = self.offset * self.normal
-        out = []
-        tries = 0
-        while len(out) < count and tries < 200 * count:
-            tries += 1
-            p = rng.uniform(lo, hi)
-            q = p - (float(p @ self.normal) - self.offset) * self.normal
-            if np.all(q >= lo - 1e-12) and np.all(q <= hi + 1e-12):
-                out.append(q)
-        if not out:
-            out = [anchor]
-        return np.asarray(out)
+        n = self.normal
+
+        def foot(P):
+            # Per row (``np.vecdot``), as the one-row ``p @ n``.
+            return P - (np.vecdot(P, n) - self.offset)[:, None] * n
+
+        return _draw_inside(count, rng, box, *box, self.dim, foot, self.offset * n)
 
     def normal_directions(self, a):
         return [self.normal.copy()]
@@ -559,19 +604,13 @@ class AffineSubspace(Primitive):
         return IntervalSet.empty()
 
     def boundary_points(self, count, rng, box):
-        lo, hi = box
-        span = norm(hi - lo)
-        out = []
-        tries = 0
-        while len(out) < count and tries < 200 * count:
-            tries += 1
-            coef = rng.uniform(-span, span, size=self.subspace_dim)
-            p = self.point + coef @ self.basis
-            if np.all(p >= lo - 1e-12) and np.all(p <= hi + 1e-12):
-                out.append(p)
-        if not out:
-            out = [self.point]
-        return np.asarray(out)
+        span = norm(box[1] - box[0])
+        # A stacked product gives each row the bits of the one-row
+        # ``c @ basis``; ``C @ basis`` (gemm) differs on a plane off the axes.
+        return _draw_inside(
+            count, rng, box, -span, span, self.subspace_dim,
+            lambda C: self.point + np.matmul(C[:, None, :], self.basis)[:, 0], self.point,
+        )
 
     def local_boundary_points(self, a, scale):
         return np.asarray([q for row in self.basis for q in (a + scale * row, a - scale * row)])

@@ -1,4 +1,6 @@
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +121,16 @@ def pointset() -> SceneFix:
 @pytest.fixture(scope="session")
 def polydisk() -> SceneFix:
     return make_polydisk()
+
+
+FUZZ_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "fuzz_scenes.py"
+
+
+@pytest.fixture(scope="session")
+def fuzz():
+    """scripts/fuzz_scenes.py as a module: its scene checks and one-row
+    references."""
+    spec = importlib.util.spec_from_file_location("fuzz_scenes", FUZZ_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

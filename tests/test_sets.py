@@ -165,6 +165,67 @@ class TestBoundarySampling:
         assert len({tuple(p) for p, _ in samples}) == len(samples) == 40
 
 
+_BOX_2D = (np.array([-6.0, -4.0]), np.array([6.0, 6.0]))
+_BOX_3D = (np.full(3, -3.0), np.full(3, 3.0))
+
+# Normals and directions off the axes, where a batched kernel could round a
+# row apart from its one-row call.
+_DRAW_LEAVES = {
+    "halfspace-2d": (HalfSpace((0.6, -0.8), 0.3), _BOX_2D),
+    "halfspace-3d": (HalfSpace((0.3, 0.7, -0.2), 0.1), _BOX_3D),
+    "slab": (Slab((0.9, 0.2, -0.4), -0.5, 0.7), _BOX_3D),
+    "line-2d": (AffineSubspace((0.2, 0.1), [(0.6, 0.8)]), _BOX_2D),
+    "line-3d": (AffineSubspace((0.2, 0.1, -0.3), [(0.6, 0.8, 0.1)]), _BOX_3D),
+    "plane-3d": (AffineSubspace((0.2, 0.1, -0.3), [(0.6, 0.8, 0.1), (0.1, -0.3, 0.7)]), _BOX_3D),
+}
+
+
+class TestBoundaryDraws:
+    """Half-space, slab and affine boundary points are drawn in blocks;
+    the points, and the generator's position after the call, equal the
+    one-row rejection draws (``one_row_boundary_points`` in
+    scripts/fuzz_scenes.py) bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 23])
+    @pytest.mark.parametrize("name", sorted(_DRAW_LEAVES))
+    def test_blocks_equal_one_row_draws(self, fuzz, name, seed):
+        leaf, box = _DRAW_LEAVES[name]
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for count in (1, 5, 64, 300):
+            got = leaf.boundary_points(count, rng, box)
+            assert np.array_equal(got, fuzz.one_row_boundary_points(leaf, count, twin, box))
+        assert rng.uniform() == twin.uniform()
+
+    @pytest.mark.parametrize("name", ["halfspace-3d", "plane-3d"])
+    def test_buffered_32_bit_half_survives_the_rewind(self, fuzz, name):
+        # ``integers(2**31)`` leaves half of a 64-bit draw buffered, and the
+        # next such call takes it; uniform draws never touch it.
+        leaf, box = _DRAW_LEAVES[name]
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        assert rng.integers(2**31) == twin.integers(2**31)
+        got = leaf.boundary_points(5, rng, box)
+        assert np.array_equal(got, fuzz.one_row_boundary_points(leaf, 5, twin, box))
+        assert rng.integers(2**31) == twin.integers(2**31)
+        assert rng.uniform() == twin.uniform()
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    @pytest.mark.parametrize("leaf, width", [
+        (AffineSubspace((0.0, 0.0, 10.0), [(1, 0, 0), (0, 1, 0)]), 2),
+        (HalfSpace((0.3, 0.2, 0.9), 40.0), 3),
+    ])
+    def test_leaf_missing_the_box_returns_its_fallback_after_the_cap(self, fuzz, leaf, width, count):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        got = leaf.boundary_points(count, rng, _BOX_3D)
+        fallback = leaf.point if isinstance(leaf, AffineSubspace) else leaf.offset * leaf.normal
+        assert np.array_equal(got, [fallback])
+        assert np.any(np.abs(fallback) > 3.0)  # outside the box
+        assert np.array_equal(got, fuzz.one_row_boundary_points(leaf, count, twin, _BOX_3D))
+        # Exactly 200 * count rows of ``width`` uniforms were consumed.
+        rows = np.random.default_rng(3)
+        rows.uniform(size=(200 * count, width))
+        assert rng.uniform() == twin.uniform() == rows.uniform()
+
+
 class TestGridOracle:
     @pytest.mark.parametrize("maker", [make_strip, make_lineplane, make_ball, make_polydisk])
     def test_analytic_distance_matches_grid(self, maker):
@@ -425,8 +486,9 @@ class TestSceneValidation:
             touching.validate()
 
     @pytest.mark.xfail(strict=True, reason=(
-        "known gap: the touching check is sampled, and none of its 64 "
-        "boundary samples per component lands near a single touching point"
+        "known gap (CHANGES.md, FOUND: on ClosedSetDesc._check_touching): the "
+        "touching check is sampled, and none of its 64 boundary samples per "
+        "component lands within 10 * cluster_tol of a single touching point"
     ))
     @pytest.mark.parametrize("centers", [((-1, 0), (1, 0)), ((0, 0, 0), (2, 0, 0))])
     def test_balls_touching_at_one_point_rejected(self, centers):
